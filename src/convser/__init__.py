@@ -29,7 +29,6 @@ from .exceptions import (
 from .neural_net import (
     ModelConfig,
     ModelParams,
-    bce_loss,
     init_params,
     load_model,
     model_backward,

@@ -80,12 +80,6 @@ class DatasetManifest:
     def resolve(self, record: SampleRecord) -> Path:
         return self.root / record.path
 
-    def by_id(self, record_id: str) -> SampleRecord:
-        for rec in self.records:
-            if rec.id == record_id:
-                return rec
-        raise KeyError(record_id)
-
     def label_counts(self) -> dict:
         counts = {0: 0, 1: 0}
         for rec in self.records:

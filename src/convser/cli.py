@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import augmentation, dsp_features, report, synth_data, train_eval
 from .audio_io import load_manifest, load_wav, resample_linear, save_manifest
 from .exceptions import ConvserError, ParameterError
-from .neural_net import ModelConfig, load_model, model_forward, save_model
+from .neural_net import GRID_WIDTHS, ModelConfig, load_model, model_forward, save_model
 from .train_eval import TrainConfig
 
 log = logging.getLogger("convser")
@@ -146,19 +145,24 @@ def cmd_augment(args) -> int:
 
 
 def _extract_one(task):
+    """Extract and store one record's features; returns None, or the
+    (sample id, message) of its failure."""
     wav_path, sample_id, out_dir, config, content_hash = task
-    buffer = load_wav(wav_path)
-    if buffer.sample_rate != config.sample_rate:
-        buffer = resample_linear(buffer, config.sample_rate)
-    fm = dsp_features.extract_features(buffer, config)
-    dsp_features.save_features(fm, out_dir, sample_id, config, content_hash)
-    return sample_id
+    try:
+        buffer = load_wav(wav_path)
+        if buffer.sample_rate != config.sample_rate:
+            buffer = resample_linear(buffer, config.sample_rate)
+        fm = dsp_features.extract_features(buffer, config)
+        dsp_features.save_features(fm, out_dir, sample_id, config, content_hash)
+    except Exception as exc:  # a failed record is reported, not silently skipped
+        return sample_id, f"{type(exc).__name__}: {exc}"
+    return None
 
 
 def cmd_extract(args) -> int:
     cfg = _load_config_file(args.config)
     manifest = load_manifest(args.manifest)
-    widths = (13, 40) if args.mfcc == "both" else (int(args.mfcc),)
+    widths = GRID_WIDTHS if args.mfcc == "both" else (int(args.mfcc),)
     failures = []
     for width in widths:
         config = _feature_config(args, cfg, width)
@@ -184,24 +188,9 @@ def cmd_extract(args) -> int:
                 continue
             tasks.append((wav_path, rec.id, out_dir, config, content_hash))
 
-        done = 0
-        if args.jobs and args.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                futures = {pool.submit(_extract_one, t): t[1] for t in tasks}
-                for future, sample_id in futures.items():
-                    try:
-                        future.result()
-                        done += 1
-                    except Exception as exc:
-                        failures.append((sample_id, f"{type(exc).__name__}: {exc}"))
-        else:
-            for task in tasks:
-                try:
-                    _extract_one(task)
-                    done += 1
-                except Exception as exc:
-                    failures.append((task[1], f"{type(exc).__name__}: {exc}"))
-        print(f"mfcc={width}: extracted {done}, cached {cached}")
+        errors = [e for e in train_eval.map_tasks(_extract_one, tasks, args.jobs or 1) if e]
+        failures.extend(errors)
+        print(f"mfcc={width}: extracted {len(tasks) - len(errors)}, cached {cached}")
 
     if failures:
         print(f"{len(failures)} extraction failure(s):", file=sys.stderr)
@@ -282,8 +271,8 @@ def cmd_grid(args) -> int:
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report.write_results_csv(results[13], out_dir / "results_13.csv")
-    report.write_results_csv(results[40], out_dir / "results_40.csv")
+    for width in GRID_WIDTHS:
+        report.write_results_csv(results[width], out_dir / f"results_{width}.csv")
 
     run_manifest = {
         "seed": train_config.seed,
@@ -297,23 +286,23 @@ def cmd_grid(args) -> int:
                 "fold_seeds": None if isinstance(r, train_eval.GridFailure) else r.fold_seeds,
                 "wall_time_s": None if isinstance(r, train_eval.GridFailure) else r.wall_time_s,
             }
-            for width in (13, 40)
+            for width in GRID_WIDTHS
             for r in results[width]
         ],
         "feature_config_hashes": {
             str(width): json.loads(
                 (_feature_dir(args.features, width) / "feature_config.json").read_text()
             ).get("config_hash")
-            for width in (13, 40)
+            for width in GRID_WIDTHS
             if (_feature_dir(args.features, width) / "feature_config.json").is_file()
         },
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(run_manifest, indent=2) + "\n")
 
-    n_failed = sum(1 for width in (13, 40) for r in results[width]
+    n_failed = sum(1 for width in GRID_WIDTHS for r in results[width]
                    if isinstance(r, train_eval.GridFailure))
     n_runs = sum(
-        len(r.fold_seeds) for width in (13, 40) for r in results[width]
+        len(r.fold_seeds) for width in GRID_WIDTHS for r in results[width]
         if not isinstance(r, train_eval.GridFailure)
     )
     print(f"grid complete: {n_runs} training runs, {n_failed} failed cells; "
@@ -325,13 +314,11 @@ def cmd_evaluate(args) -> int:
     params = load_model(args.model)
     manifest = load_manifest(args.manifest)
     features = _load_feature_store(args.features, params.config.n_mfcc, manifest)
-    labels = {rec.id: rec.label for rec in manifest.records}
     ids = [rec.id for rec in manifest.records]
-    x = np.stack([features[i].values for i in ids])
-    y = np.array([labels[i] for i in ids])
-    prob, _ = model_forward(x, params)
-    preds = (prob >= 0.5).astype(int)
-    counts = train_eval.confusion(preds.tolist(), y.tolist())
+    x = train_eval._stack(features, ids, params.config, params.conv_w.dtype)
+    labels = [rec.label for rec in manifest.records]
+    _, _, preds = train_eval.evaluate(params, x, np.array(labels), TrainConfig().batch_size)
+    counts = train_eval.confusion(preds.tolist(), labels)
     m = train_eval.metrics(counts)
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
     print(
@@ -354,7 +341,7 @@ def cmd_predict(args) -> int:
         if buffer.sample_rate != config.sample_rate:
             buffer = resample_linear(buffer, config.sample_rate)
         fm = dsp_features.extract_features(buffer, config)
-        prob, _ = model_forward(fm.values.astype(params.conv_w.dtype), params)
+        (prob,), _ = model_forward(fm.values[None].astype(params.conv_w.dtype), params)
         print(f"{wav}\t{prob:.4f}\t{int(prob >= 0.5)}")
     return 0
 

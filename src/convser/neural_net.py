@@ -5,15 +5,16 @@ Architecture: a 1D convolution applied independently to every timestep
 ReLU), per-timestep flatten, an LSTM over all timesteps, and a logistic
 output unit reading the final hidden state.
 
-All forward/backward functions accept either one sample (T x n_mfcc) or a
-batch (B x T x n_mfcc); training uses the batched path so the heavy matrix
-products run as single BLAS calls across timesteps.
+model_forward is the one forward implementation: training, evaluation and
+prediction all call it on a batch (B x T x n_mfcc), so the heavy matrix
+products run as single BLAS calls across timesteps. A single sample is a
+batch of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ GATE_ORDER = ("input", "forget", "cell", "output")
 GRID_FILTERS = (16, 32)
 GRID_KERNELS = (5, 20)
 GRID_LSTM_UNITS = (20, 40)
+GRID_WIDTHS = (13, 40)
 
 
 @dataclass
@@ -53,7 +55,7 @@ class ModelConfig:
             self.filters in GRID_FILTERS
             and self.kernel_size in GRID_KERNELS
             and self.lstm_units in GRID_LSTM_UNITS
-            and self.n_mfcc in (13, 40)
+            and self.n_mfcc in GRID_WIDTHS
         )
 
 
@@ -141,7 +143,6 @@ class ForwardTrace:
     h_final: np.ndarray      # (B, units)
     logit: np.ndarray        # (B,)
     prob: np.ndarray         # (B,)
-    batched_input: bool = field(default=True)
 
 
 def _sigmoid(x):
@@ -177,40 +178,20 @@ def _conv_windows(x, kernel_size):
     return np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
 
 
-def _as_batch(features):
-    features = np.asarray(features)
-    if features.ndim == 2:
-        return features[None, :, :], False
-    if features.ndim == 3:
-        return features, True
-    raise ParameterError(f"features must be 2-D or 3-D, got shape {features.shape}")
-
-
-def conv1d_timedistributed_forward(features, params: ModelParams):
-    """ReLU(same-padded 1D convolution across the coefficient axis), applied
-    to each timestep independently. Returns (T, n_mfcc, filters), or the
-    batched equivalent for 3-D input."""
-    x, batched = _as_batch(features)
-    if x.shape[2] != params.config.n_mfcc:
+def _check_batch(x):
+    x = np.asarray(x)
+    if x.ndim != 3:
         raise ParameterError(
-            f"feature width {x.shape[2]} != model n_mfcc {params.config.n_mfcc}"
+            f"expected a (batch, frames, width) array, got shape {x.shape}; "
+            "pass one sample as a batch of one"
         )
-    windows = _conv_windows(x, params.config.kernel_size)
-    pre = np.tensordot(windows, params.conv_w[:, 0, :], axes=([3], [0])) + params.conv_b
-    out = np.maximum(pre, 0.0)
-    return out if batched else out[0]
-
-
-def flatten_per_timestep(tensor):
-    """Row-major reshape (..., T, M, F) -> (..., T, M*F)."""
-    tensor = np.asarray(tensor)
-    return tensor.reshape(*tensor.shape[:-2], tensor.shape[-2] * tensor.shape[-1])
+    return x
 
 
 def lstm_forward(inputs, params: ModelParams):
     """Run the LSTM over all timesteps from h0 = c0 = 0, returning the final
     hidden state and the per-step quantities needed for backprop."""
-    x, batched = _as_batch(inputs)
+    x = _check_batch(inputs)
     b, t, d = x.shape
     u = params.config.lstm_units
     if d != params.lstm_w.shape[1]:
@@ -241,31 +222,23 @@ def lstm_forward(inputs, params: ModelParams):
         tanh_cell[step] = tc
 
     cache = {"gates": gates, "cell": cell, "tanh_cell": tanh_cell, "h_prev": h_prev_all}
-    return (h if batched else h[0]), cache
-
-
-def dense_sigmoid_forward(h, params: ModelParams):
-    """p = sigmoid(w . h + b), kept strictly inside (0, 1)."""
-    h = np.asarray(h)
-    logit = h @ params.dense_w + params.dense_b
-    return _clamp_prob(_sigmoid(np.asarray(logit)))
+    return h, cache
 
 
 def model_forward(features, params: ModelParams):
-    """Full forward pass; returns (probability, ForwardTrace).
-
-    features: (T, n_mfcc) for one sample or (B, T, n_mfcc) for a batch; the
-    probability is a scalar or a (B,) vector accordingly.
-    """
-    x, batched = _as_batch(features)
-    if x.shape[2] != params.config.n_mfcc:
+    """Full forward pass over a (B, T, n_mfcc) batch; returns the (B,)
+    probabilities and the ForwardTrace that model_backward reads."""
+    x = _check_batch(features)
+    b, t, m = x.shape
+    if m != params.config.n_mfcc:
         raise ParameterError(
-            f"feature width {x.shape[2]} != model n_mfcc {params.config.n_mfcc}"
+            f"feature width {m} != model n_mfcc {params.config.n_mfcc}"
         )
     windows = _conv_windows(x, params.config.kernel_size)
     conv_pre = np.tensordot(windows, params.conv_w[:, 0, :], axes=([3], [0])) + params.conv_b
-    flat = flatten_per_timestep(np.maximum(conv_pre, 0.0))
-    h_final, lstm_cache = lstm_forward(flat, params)  # flat is 3-D, h_final is (B, units)
+    # row-major flatten of each timestep: coefficient outer, filter inner
+    flat = np.maximum(conv_pre, 0.0).reshape(b, t, m * params.config.filters)
+    h_final, lstm_cache = lstm_forward(flat, params)
     logit = h_final @ params.dense_w + params.dense_b
     prob = _clamp_prob(_sigmoid(logit))
     trace = ForwardTrace(
@@ -280,9 +253,8 @@ def model_forward(features, params: ModelParams):
         h_final=h_final,
         logit=logit,
         prob=prob,
-        batched_input=batched,
     )
-    return (prob if batched else float(prob[0])), trace
+    return prob, trace
 
 
 def bce_from_logit(logit, y):
@@ -290,14 +262,6 @@ def bce_from_logit(logit, y):
     z = np.asarray(logit, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-
-
-def bce_loss(p, y):
-    """-[y ln p + (1-y) ln(1-p)], evaluated through the stable logit form."""
-    p = np.asarray(p, dtype=np.float64)
-    logit = np.log(p) - np.log1p(-p)
-    out = bce_from_logit(logit, y)
-    return float(out) if out.ndim == 0 else out
 
 
 def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:

@@ -18,6 +18,10 @@ import numpy as np
 from .audio_io import DatasetManifest
 from .exceptions import ParameterError
 from .neural_net import (
+    GRID_FILTERS,
+    GRID_KERNELS,
+    GRID_LSTM_UNITS,
+    GRID_WIDTHS,
     ModelConfig,
     ModelParams,
     bce_from_logit,
@@ -105,25 +109,23 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        tensors = params.tensors() if isinstance(params, ModelParams) else params
+    def for_params(cls, params: dict) -> "AdamState":
         return cls(
-            m={k: np.zeros_like(val) for k, val in tensors.items()},
-            v={k: np.zeros_like(val) for k, val in tensors.items()},
+            m={k: np.zeros_like(val) for k, val in params.items()},
+            v={k: np.zeros_like(val) for k, val in params.items()},
         )
 
 
-def adam_step(params, grads, state: AdamState, config: TrainConfig):
-    """One ADAM update, in place: moment updates, bias correction, then
+def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
+    """One ADAM update of the named tensors in params, in place: moment
+    updates, bias correction, then
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). Returns (params, state)."""
-    p_tensors = params.tensors() if isinstance(params, ModelParams) else params
-    g_tensors = grads.tensors() if isinstance(grads, ModelParams) else grads
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
     state.t += 1
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
-    for name, theta in p_tensors.items():
-        g = g_tensors[name]
+    for name, theta in params.items():
+        g = grads[name]
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -336,7 +338,12 @@ def _stack(features: dict, ids, model_config: ModelConfig, dtype):
     return np.stack(mats).astype(dtype)
 
 
-def _evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int):
+def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int):
+    """Score (B, T, n_mfcc) inputs against labels y in batches of batch_size.
+
+    Returns (mean loss, accuracy, per-sample predictions at threshold 0.5).
+    Training's per-epoch curves, its final validation metrics and
+    `convser evaluate` all come from this function."""
     losses = np.empty(len(x))
     preds = np.empty(len(x), dtype=int)
     for start in range(0, len(x), batch_size):
@@ -381,8 +388,8 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     state = AdamState.for_params(trained)
 
     history = {k: [] for k in ("train_loss", "train_accuracy", "val_loss", "val_accuracy")}
-    loss0, acc0, _ = _evaluate(params, x_train, y_train, train_config.batch_size)
-    vloss0, vacc0, _ = _evaluate(params, x_val, y_val, train_config.batch_size)
+    loss0, acc0, _ = evaluate(params, x_train, y_train, train_config.batch_size)
+    vloss0, vacc0, _ = evaluate(params, x_val, y_val, train_config.batch_size)
     history["train_loss"].append(loss0)
     history["train_accuracy"].append(acc0)
     history["val_loss"].append(vloss0)
@@ -404,7 +411,7 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
             clip_global_norm(grads, GRAD_CLIP_NORM)
             adam_step(trained, {name: grads[name] for name in TRAINED_TENSORS}, state,
                       train_config)
-        val_loss, val_acc, _ = _evaluate(params, x_val, y_val, train_config.batch_size)
+        val_loss, val_acc, _ = evaluate(params, x_val, y_val, train_config.batch_size)
         history["train_loss"].append(loss_sum / n_train)
         history["train_accuracy"].append(correct / n_train)
         history["val_loss"].append(val_loss)
@@ -417,7 +424,7 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     else:
         selected_epoch = train_config.epochs
 
-    _, _, preds = _evaluate(params, x_val, y_val, train_config.batch_size)
+    _, _, preds = evaluate(params, x_val, y_val, train_config.batch_size)
     counts = confusion(preds.tolist(), [int(v) for v in y_val])
     report = metrics(counts)
     return TrainResult(
@@ -439,9 +446,9 @@ def grid_model_id(model_config: ModelConfig) -> str:
     try:
         k = (
             1
-            + (16, 32).index(model_config.filters)
-            + 2 * (5, 20).index(model_config.kernel_size)
-            + 4 * (20, 40).index(model_config.lstm_units)
+            + GRID_FILTERS.index(model_config.filters)
+            + 2 * GRID_KERNELS.index(model_config.kernel_size)
+            + 4 * GRID_LSTM_UNITS.index(model_config.lstm_units)
         )
     except ValueError:
         return f"custom-{model_config.filters}-{model_config.kernel_size}-{model_config.lstm_units}"
@@ -485,14 +492,26 @@ def grid_configs(n_mfcc: int, max_frames: int):
             n_mfcc=n_mfcc,
             max_frames=max_frames,
         )
-        for units in (20, 40)
-        for kernel in (5, 20)
-        for filters in (16, 32)
+        for units in GRID_LSTM_UNITS
+        for kernel in GRID_KERNELS
+        for filters in GRID_FILTERS
     ]
 
 
-def _run_cell(args):
-    model_config, train_config, features, manifest = args
+def map_tasks(fn, tasks, jobs: int) -> list:
+    """[fn(task) for task in tasks], in order: in this process when jobs <= 1,
+    else in a pool of up to jobs worker processes. fn is a module-level
+    function that returns its failure as a result instead of raising, so one
+    bad task never loses the results of the others."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _run_cell(task):
+    model_config, train_config, features, manifest = task
     try:
         return cross_validate(model_config, train_config, features, manifest)
     except Exception as exc:  # a failed cell is recorded, not silently skipped
@@ -512,16 +531,14 @@ def run_grid(train_config: TrainConfig, features13: dict, manifest13: DatasetMan
     deterministic, order-preserving reduce.
     """
     tasks = []
-    for width, features, manifest in ((13, features13, manifest13), (40, features40, manifest40)):
+    for width, features, manifest in zip(GRID_WIDTHS, (features13, features40),
+                                         (manifest13, manifest40)):
         if not features:
             raise ParameterError(f"no features provided for the {width}-MFCC track")
         max_frames = next(iter(features.values())).values.shape[0]
         for model_config in grid_configs(width, max_frames):
             tasks.append((model_config, train_config, features, manifest))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_cell, tasks))
-    else:
-        results = [_run_cell(t) for t in tasks]
-    return {13: results[:8], 40: results[8:]}
+    results = map_tasks(_run_cell, tasks, jobs)
+    cells = len(tasks) // len(GRID_WIDTHS)
+    return {width: results[k * cells : (k + 1) * cells] for k, width in enumerate(GRID_WIDTHS)}

@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from convser import cli, neural_net, train_eval
+from convser.audio_io import load_manifest
 from convser.cli import main
+from convser.dsp_features import load_features
 
 FIXTURE = Path(__file__).parent / "fixtures" / "results_40_reference.csv"
 
@@ -150,6 +154,37 @@ class TestTrainPredictEvaluate:
                    "--features", pipeline["features"]) == 0
         printed = capsys.readouterr().out
         assert "accuracy" in printed and "tp=" in printed
+
+    def test_evaluate_scores_like_training(self, pipeline, run_dir, capsys, monkeypatch):
+        """evaluate scores in the model's dtype, in training's batches, and
+        prints the counts of train_eval.evaluate."""
+        model = run_dir / "M1-13_fold0.model.json"
+        params = neural_net.load_model(model)
+        assert params.conv_w.dtype == np.float32
+        batches = []
+        real_forward = neural_net.model_forward
+
+        def spy_forward(features, params):
+            batches.append((features.dtype, len(features)))
+            return real_forward(features, params)
+
+        for module in (cli, train_eval, neural_net):
+            monkeypatch.setattr(module, "model_forward", spy_forward)
+        manifest_path = pipeline["augmented"] / "manifest.jsonl"
+        capsys.readouterr()
+        assert run("evaluate", "--model", model, "--manifest", manifest_path,
+                   "--features", pipeline["features"]) == 0
+        printed = capsys.readouterr().out
+        assert batches and all(dtype == np.float32 and n <= 16 for dtype, n in batches)
+        assert sum(n for _, n in batches) == 48
+
+        records = load_manifest(manifest_path).records
+        x = np.stack([load_features(pipeline["features"] / "13", rec.id).values
+                      for rec in records]).astype(np.float32)
+        y = np.array([rec.label for rec in records])
+        _, _, preds = train_eval.evaluate(params, x, y, 16)
+        counts = train_eval.confusion(preds.tolist(), y.tolist())
+        assert f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}" in printed
 
     def test_missing_features_is_actionable(self, pipeline, tmp_path, capsys):
         rc = run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",

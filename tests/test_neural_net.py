@@ -10,10 +10,6 @@ from convser.neural_net import (
     ModelConfig,
     ModelParams,
     bce_from_logit,
-    bce_loss,
-    conv1d_timedistributed_forward,
-    dense_sigmoid_forward,
-    flatten_per_timestep,
     init_params,
     load_model,
     lstm_forward,
@@ -89,6 +85,13 @@ def scalar_reference_forward(x, params):
     return sigmoid(logit)
 
 
+def conv_relu(x, params):
+    """The ReLU convolution output of model_forward for one (T, n_mfcc) sample,
+    read back from its trace as (T, n_mfcc, filters)."""
+    _, trace = model_forward(x[None], params)
+    return np.maximum(trace.conv_pre, 0.0)[0]
+
+
 class TestConv:
     def test_identity_kernel_passes_nonnegative_input(self):
         config = ModelConfig(filters=1, kernel_size=3, lstm_units=2, n_mfcc=4, max_frames=2)
@@ -97,7 +100,7 @@ class TestConv:
         params.conv_w[1, 0, 0] = 1.0  # centered unit impulse
         params.conv_b[...] = 0.0
         x = np.abs(np.random.default_rng(0).standard_normal((2, 4)))
-        out = conv1d_timedistributed_forward(x, params)
+        out = conv_relu(x, params)
         assert out.shape == (2, 4, 1)
         assert np.allclose(out[:, :, 0], x)
 
@@ -105,13 +108,14 @@ class TestConv:
         params = init_params(TINY, 0)
         for name in ("conv_w", "conv_b"):
             getattr(params, name)[...] = 0.0
-        out = conv1d_timedistributed_forward(np.ones((6, 5)), params)
-        assert np.all(out == 0.0)
+        _, trace = model_forward(np.ones((1, 6, 5)), params)
+        assert np.all(trace.conv_pre == 0.0)
+        assert np.all(trace.flat == 0.0)
 
     @pytest.mark.parametrize("kernel", [3, 4, 5, 20])
     def test_same_padding_width(self, kernel):
         config = ModelConfig(filters=2, kernel_size=kernel, lstm_units=2, n_mfcc=13, max_frames=3)
-        out = conv1d_timedistributed_forward(np.ones((3, 13)), init_params(config, 1))
+        out = conv_relu(np.ones((3, 13)), init_params(config, 1))
         assert out.shape == (3, 13, 2)
 
     def test_matches_naive_sliding_window(self):
@@ -119,7 +123,7 @@ class TestConv:
         params = random_params(config, 2)
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 5))
-        out = conv1d_timedistributed_forward(x, params)
+        out = conv_relu(x, params)
         pad = (3 - 1) // 2
         for t in range(4):
             for i in range(5):
@@ -133,21 +137,31 @@ class TestConv:
 
 
 class TestFlatten:
+    """trace.flat is the ReLU convolution output, flattened row-major per
+    timestep: coefficient index outer, filter index inner."""
+
     def test_layout(self):
-        tensor = np.array([[[1.0, 2.0], [3.0, 4.0]]])  # T=1, 2x2
-        assert np.array_equal(flatten_per_timestep(tensor), [[1.0, 2.0, 3.0, 4.0]])
+        config = ModelConfig(filters=2, kernel_size=1, lstm_units=2, n_mfcc=2, max_frames=1)
+        params = init_params(config, 0)
+        params.conv_w[0, 0, :] = [1.0, 10.0]  # filter f scales every coefficient
+        params.conv_b[...] = 0.0
+        _, trace = model_forward(np.array([[[1.0, 2.0]]]), params)
+        assert np.array_equal(trace.flat, [[[1.0, 10.0, 2.0, 20.0]]])
 
     def test_inverse_recovers_tensor(self):
-        rng = np.random.default_rng(1)
-        tensor = rng.standard_normal((3, 5, 2))
-        flat = flatten_per_timestep(tensor)
-        assert np.array_equal(flat.reshape(3, 5, 2), tensor)
+        params = random_params(TINY, 1)
+        x = np.random.default_rng(1).uniform(-1, 1, (3, 6, 5))
+        _, trace = model_forward(x, params)
+        assert np.array_equal(trace.flat.reshape(3, 6, 5, 2), np.maximum(trace.conv_pre, 0.0))
 
     def test_element_count_preserved(self):
         rng = np.random.default_rng(2)
-        for shape in ((2, 3, 4), (1, 7, 2), (5, 1, 6)):
-            tensor = rng.standard_normal(shape)
-            assert flatten_per_timestep(tensor).size == tensor.size
+        for b, t, m, filters in ((2, 3, 4, 2), (1, 7, 2, 3), (5, 1, 6, 1)):
+            config = ModelConfig(filters=filters, kernel_size=3, lstm_units=2, n_mfcc=m,
+                                 max_frames=t)
+            _, trace = model_forward(rng.standard_normal((b, t, m)), init_params(config, 0))
+            assert trace.flat.shape == (b, t, m * filters)
+            assert trace.flat.size == trace.conv_pre.size
 
 
 class TestLstm:
@@ -155,14 +169,14 @@ class TestLstm:
         params = init_params(TINY, 0)
         for name in ("lstm_w", "lstm_u", "lstm_b"):
             getattr(params, name)[...] = 0.0
-        h, _ = lstm_forward(np.ones((6, 10)), params)
+        h, _ = lstm_forward(np.ones((1, 6, 10)), params)
         assert np.all(h == 0.0)
 
     def test_padded_zero_frames_leave_state_at_zero(self):
         params = init_params(TINY, 0)
         for name in ("lstm_w", "lstm_u", "lstm_b"):
             getattr(params, name)[...] = 0.0
-        h, cache = lstm_forward(np.zeros((4, 10)), params)
+        h, cache = lstm_forward(np.zeros((1, 4, 10)), params)
         assert np.all(h == 0.0)
         assert np.all(cache["cell"] == 0.0)
 
@@ -171,7 +185,7 @@ class TestLstm:
         params = random_params(config, 5)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((3, 2))
-        h, _ = lstm_forward(x, params)
+        (h,), _ = lstm_forward(x[None], params)
 
         u = 2
         h_ref = [0.0, 0.0]
@@ -194,28 +208,36 @@ class TestLstm:
 
 
 class TestDense:
+    """The logistic output unit, read from model_forward's trace."""
+
     def test_zero_params_give_half(self):
         params = init_params(TINY, 0)
         params.dense_w[...] = 0.0
         params.dense_b[...] = 0.0
-        assert dense_sigmoid_forward(np.ones(3), params) == pytest.approx(0.5)
+        prob, _ = model_forward(np.ones((2, 6, 5)), params)
+        assert np.all(prob == 0.5)
 
     def test_saturated_logit_stays_inside_open_interval(self):
         params = init_params(TINY, 0)
         params.dense_w[...] = 0.0
+        x = np.zeros((1, 6, 5))
         for logit in (40.0, 500.0):
             params.dense_b[...] = logit
-            p = float(dense_sigmoid_forward(np.zeros(3), params))
+            (p,), _ = model_forward(x, params)
             assert p < 1.0
             assert 1.0 - p <= 2.0 ** -52
         params.dense_b[...] = -500.0
-        assert float(dense_sigmoid_forward(np.zeros(3), params)) > 0.0
+        (p,), _ = model_forward(x, params)
+        assert p > 0.0
 
     def test_matches_direct_formula(self):
         params = random_params(TINY, 7)
-        h = np.random.default_rng(8).standard_normal(3)
-        expected = 1.0 / (1.0 + np.exp(-(h @ params.dense_w + params.dense_b)))
-        assert dense_sigmoid_forward(h, params) == pytest.approx(float(expected), abs=1e-12)
+        x = np.random.default_rng(8).uniform(-1, 1, (3, 6, 5))
+        prob, trace = model_forward(x, params)
+        logit = trace.h_final @ params.dense_w + params.dense_b
+        assert np.array_equal(trace.logit, logit)
+        assert np.allclose(prob, 1.0 / (1.0 + np.exp(-logit)), atol=1e-12)
+        assert np.array_equal(trace.prob, prob)
 
 
 class TestModelForward:
@@ -223,50 +245,60 @@ class TestModelForward:
         params = init_params(TINY, 0)
         for name in params.TENSOR_NAMES:
             getattr(params, name)[...] = 0.0
-        x = np.random.default_rng(0).uniform(-1, 1, (6, 5))
+        x = np.random.default_rng(0).uniform(-1, 1, (1, 6, 5))
         p, _ = model_forward(x, params)
         assert p == pytest.approx(0.5)
 
     def test_padded_frames_interchangeable(self):
         params = random_params(TINY, 9)
-        x = np.zeros((6, 5))
-        x[:3] = np.random.default_rng(10).uniform(-1, 1, (3, 5))
+        x = np.zeros((1, 6, 5))
+        x[0, :3] = np.random.default_rng(10).uniform(-1, 1, (3, 5))
         p1, _ = model_forward(x, params)
         p2, _ = model_forward(x.copy(), params)  # trailing zero rows permuted = identical
-        assert p1 == p2
+        assert np.array_equal(p1, p2)
 
     def test_matches_independent_scalar_implementation(self):
         for seed in range(3):
             params = random_params(TINY, 20 + seed)
             x = np.random.default_rng(30 + seed).uniform(-1, 1, (6, 5))
-            p, _ = model_forward(x, params)
+            (p,), _ = model_forward(x[None], params)
             assert p == pytest.approx(scalar_reference_forward(x, params), abs=1e-12)
 
     def test_batched_matches_per_sample(self):
         params = random_params(TINY, 11)
         batch = np.random.default_rng(12).uniform(-1, 1, (4, 6, 5))
         probs, _ = model_forward(batch, params)
-        singles = [model_forward(batch[i], params)[0] for i in range(4)]
+        assert probs.shape == (4,)
+        singles = [model_forward(batch[i : i + 1], params)[0][0] for i in range(4)]
         assert np.allclose(probs, singles, atol=1e-12)
 
     def test_forward_deterministic(self):
         params = random_params(TINY, 13)
-        x = np.random.default_rng(14).uniform(-1, 1, (6, 5))
-        assert model_forward(x, params)[0] == model_forward(x, params)[0]
+        x = np.random.default_rng(14).uniform(-1, 1, (2, 6, 5))
+        assert np.array_equal(model_forward(x, params)[0], model_forward(x, params)[0])
 
     def test_width_mismatch(self):
         with pytest.raises(ParameterError):
-            model_forward(np.zeros((6, 7)), init_params(TINY, 0))
+            model_forward(np.zeros((1, 6, 7)), init_params(TINY, 0))
+
+    @pytest.mark.parametrize("shape", [(6, 5), (5,), (1, 1, 6, 5)])
+    def test_unbatched_input_rejected(self, shape):
+        params = init_params(TINY, 0)
+        with pytest.raises(ParameterError, match="batch"):
+            model_forward(np.zeros(shape), params)
+        with pytest.raises(ParameterError, match="batch"):
+            lstm_forward(np.zeros(shape[:-1] + (10,)), params)
 
 
 class TestLoss:
     def test_half_probability(self):
-        assert bce_loss(0.5, 1) == pytest.approx(math.log(2), abs=1e-12)
-        assert bce_loss(0.5, 0) == pytest.approx(math.log(2), abs=1e-12)
+        # logit 0 is probability 1/2
+        assert bce_from_logit(0.0, 1) == pytest.approx(math.log(2), abs=1e-12)
+        assert bce_from_logit(0.0, 0) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_vanishes_at_correct_label(self):
-        assert bce_loss(1.0 - 1e-12, 1) == pytest.approx(0.0, abs=1e-9)
-        assert bce_loss(1e-12, 0) == pytest.approx(0.0, abs=1e-9)
+        assert bce_from_logit(30.0, 1) == pytest.approx(0.0, abs=1e-9)
+        assert bce_from_logit(-30.0, 0) == pytest.approx(0.0, abs=1e-9)
 
     def test_finite_at_extreme_logits(self):
         assert np.isfinite(bce_from_logit(1000.0, 0.0))
@@ -286,18 +318,18 @@ class TestBackward:
         params = init_params(TINY, 0)
         for name in params.TENSOR_NAMES:
             getattr(params, name)[...] = 0.0
-        x = np.random.default_rng(1).uniform(-1, 1, (6, 5))
+        x = np.random.default_rng(1).uniform(-1, 1, (1, 6, 5))
         for y in (0.0, 1.0):
-            p, trace = model_forward(x, params)
-            grads = model_backward(trace, y, params)
+            (p,), trace = model_forward(x, params)
+            grads = model_backward(trace, np.array([y]), params)
             assert float(grads.dense_b) == pytest.approx(p - y, abs=1e-12)
 
     def test_dead_paths_have_zero_gradient(self):
         params = init_params(TINY, 0)
         params.lstm_w[...] = 0.0  # nothing reaches the LSTM from below
-        x = np.random.default_rng(2).uniform(-1, 1, (6, 5))
+        x = np.random.default_rng(2).uniform(-1, 1, (1, 6, 5))
         _, trace = model_forward(x, params)
-        grads = model_backward(trace, 1.0, params)
+        grads = model_backward(trace, np.ones(1), params)
         assert np.all(grads.conv_w == 0.0)
         assert np.all(grads.conv_b == 0.0)
 

@@ -115,12 +115,13 @@ class TestAdam:
         assert float(params["w"]) == pytest.approx(expected, abs=1e-12)
 
     def test_works_on_model_params(self):
+        # the tensor dict is a set of views: the step updates the model in place
         config = ModelConfig(filters=2, kernel_size=3, lstm_units=2, n_mfcc=3, max_frames=2)
         params = init_params(config, 0)
-        grads = init_params(config, 1)
-        state = AdamState.for_params(params)
+        grads = init_params(config, 1).tensors()
+        state = AdamState.for_params(params.tensors())
         before = params.copy()
-        adam_step(params, grads, state, self.config())
+        adam_step(params.tensors(), grads, state, self.config())
         assert not np.array_equal(params.lstm_w, before.lstm_w)
 
 
