@@ -141,6 +141,8 @@ def load_wav(path) -> AudioBuffer:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == _IEEE_FLOAT and bits == 32:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise FormatError(f"{path}: non-finite float samples")
     else:
         raise UnsupportedCodecError(
             f"{path}: format tag {audio_format} at {bits} bits is not supported "

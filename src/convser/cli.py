@@ -89,26 +89,10 @@ def _augmentation_plan(args, cfg):
     )
 
 
-def _content_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
-def _feature_dir(features_root, n_mfcc) -> Path:
-    return Path(features_root) / str(n_mfcc)
-
-
 def _load_feature_store(features_root, n_mfcc, manifest):
-    directory = _feature_dir(features_root, n_mfcc)
-    store = {}
-    for rec in manifest.records:
-        csv_path, _ = dsp_features.features_paths(directory, rec.id)
-        if not csv_path.is_file():
-            raise ParameterError(
-                f"missing features for {rec.id!r} at {csv_path}; "
-                f"run `convser extract --mfcc {n_mfcc}` first"
-            )
-        store[rec.id] = dsp_features.load_features(directory, rec.id)
-    return store
+    """The stored FeatureConfig and {id: FeatureMatrix} for the manifest."""
+    store = dsp_features.load_features(features_root, n_mfcc)
+    return store.config, store.matrices(rec.id for rec in manifest.records)
 
 
 # --- Subcommands ----------------------------------------------------------------
@@ -145,18 +129,16 @@ def cmd_augment(args) -> int:
 
 
 def _extract_one(task):
-    """Extract and store one record's features; returns None, or the
-    (sample id, message) of its failure."""
-    wav_path, sample_id, out_dir, config, content_hash = task
+    """One record's valid feature rows, or the message of its failure."""
+    wav_path, config = task
     try:
         buffer = load_wav(wav_path)
         if buffer.sample_rate != config.sample_rate:
             buffer = resample_linear(buffer, config.sample_rate)
         fm = dsp_features.extract_features(buffer, config)
-        dsp_features.save_features(fm, out_dir, sample_id, config, content_hash)
     except Exception as exc:  # a failed record is reported, not silently skipped
-        return sample_id, f"{type(exc).__name__}: {exc}"
-    return None
+        return f"{type(exc).__name__}: {exc}"
+    return fm.values[: fm.n_valid_frames].copy()
 
 
 def cmd_extract(args) -> int:
@@ -164,33 +146,28 @@ def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     widths = GRID_WIDTHS if args.mfcc == "both" else (int(args.mfcc),)
     failures = []
+    hashes = {}
+    for rec in manifest.records:
+        try:
+            hashes[rec.id] = hashlib.sha256(manifest.resolve(rec).read_bytes()).hexdigest()[:16]
+        except OSError as exc:
+            failures.append((rec.id, str(exc)))
     for width in widths:
         config = _feature_config(args, cfg, width)
-        out_dir = _feature_dir(args.out, width)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "feature_config.json").write_text(
-            json.dumps(
-                {"config": asdict(config), "config_hash": dsp_features.config_hash(config)},
-                indent=2, sort_keys=True,
-            ) + "\n"
-        )
-        tasks = []
-        cached = 0
-        for rec in manifest.records:
-            wav_path = manifest.resolve(rec)
-            try:
-                content_hash = _content_hash(wav_path)
-            except OSError as exc:
-                failures.append((rec.id, str(exc)))
-                continue
-            if dsp_features.cached_features_fresh(out_dir, rec.id, config, content_hash):
-                cached += 1
-                continue
-            tasks.append((wav_path, rec.id, out_dir, config, content_hash))
-
-        errors = [e for e in train_eval.map_tasks(_extract_one, tasks, args.jobs or 1) if e]
-        failures.extend(errors)
-        print(f"mfcc={width}: extracted {len(tasks) - len(errors)}, cached {cached}")
+        # rows of another config are dropped; ids outside this manifest are kept
+        store, fresh = dsp_features.cached_features_fresh(args.out, config, hashes)
+        stale = [rec for rec in manifest.records if rec.id in hashes and rec.id not in fresh]
+        results = train_eval.map_tasks(
+            _extract_one, [(manifest.resolve(rec), config) for rec in stale], args.jobs or 1)
+        for rec, result in zip(stale, results):
+            if isinstance(result, str):
+                failures.append((rec.id, result))
+            else:
+                store.rows[rec.id], store.hashes[rec.id] = result, hashes[rec.id]
+        if stale or not fresh:  # a warm run rewrites nothing
+            dsp_features.save_features(store, args.out)
+        extracted = sum(not isinstance(r, str) for r in results)
+        print(f"mfcc={width}: extracted {extracted}, cached {len(fresh)}")
 
     if failures:
         print(f"{len(failures)} extraction failure(s):", file=sys.stderr)
@@ -200,28 +177,19 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _stored_feature_config(features_root, n_mfcc):
-    """The FeatureConfig recorded by `extract`, if present."""
-    path = _feature_dir(features_root, n_mfcc) / "feature_config.json"
-    if not path.is_file():
-        return None
-    return dsp_features.FeatureConfig(**json.loads(path.read_text())["config"])
-
-
 def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
     train_config = _train_config(args, cfg)
     manifest = load_manifest(args.manifest)
     width = int(args.mfcc)
-    features = _load_feature_store(args.features, width, manifest)
-    max_frames = next(iter(features.values())).values.shape[0]
+    feature_config, features = _load_feature_store(args.features, width, manifest)
     model_kwargs = dict(cfg.get("model", {}))
     for flag, key in (("filters", "filters"), ("kernel", "kernel_size"), ("lstm", "lstm_units")):
         value = getattr(args, flag, None)
         if value is not None:
             model_kwargs[key] = value
     model_kwargs["n_mfcc"] = width
-    model_kwargs["max_frames"] = max_frames
+    model_kwargs["max_frames"] = feature_config.max_frames
     model_config = ModelConfig(**model_kwargs)
     if not model_config.in_paper_grid:
         log.info("model config %s is outside the standard 16-cell grid", model_config)
@@ -229,7 +197,6 @@ def cmd_train(args) -> int:
     result = train_eval.cross_validate(model_config, train_config, features, manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    feature_config = _stored_feature_config(args.features, width)
     _save_run(result, out_dir, feature_config)
     avg = result.averaged
     print(
@@ -243,19 +210,14 @@ def cmd_train(args) -> int:
 
 def _save_run(result, out_dir, feature_config) -> None:
     """Persist per-fold models plus the run report JSON."""
-    feature_doc = asdict(feature_config) if feature_config else None
-    feature_hash = dsp_features.config_hash(feature_config) if feature_config else None
-    run_doc = result.to_dict()
-    run_doc["feature_config"] = feature_doc
-    run_doc["config_hash"] = feature_hash
+    feature_doc = {"feature_config": asdict(feature_config),
+                   "config_hash": dsp_features.config_hash(feature_config)}
+    run_doc = result.to_dict() | feature_doc
     (out_dir / f"{result.model_id}_run.json").write_text(
         json.dumps(run_doc, sort_keys=True) + "\n"
     )
     for k, (fold_seed, fold) in enumerate(zip(result.fold_seeds, result.folds)):
-        extra = {"fold_seed": fold_seed, "model_id": result.model_id}
-        if feature_doc:
-            extra["feature_config"] = feature_doc
-            extra["config_hash"] = feature_hash
+        extra = {"fold_seed": fold_seed, "model_id": result.model_id} | feature_doc
         save_model(fold.params, out_dir / f"{result.model_id}_fold{k}.model.json", extra=extra)
 
 
@@ -263,11 +225,12 @@ def cmd_grid(args) -> int:
     cfg = _load_config_file(args.config)
     train_config = _train_config(args, cfg)
     manifest = load_manifest(args.manifest)
-    features13 = _load_feature_store(args.features, 13, manifest)
-    features40 = _load_feature_store(args.features, 40, manifest)
+    configs, features = {}, {}
+    for width in GRID_WIDTHS:
+        configs[width], features[width] = _load_feature_store(args.features, width, manifest)
     started = time.perf_counter()
     results = train_eval.run_grid(
-        train_config, features13, manifest, features40, manifest, jobs=args.jobs or 1
+        train_config, features[13], manifest, features[40], manifest, jobs=args.jobs or 1
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,11 +253,7 @@ def cmd_grid(args) -> int:
             for r in results[width]
         ],
         "feature_config_hashes": {
-            str(width): json.loads(
-                (_feature_dir(args.features, width) / "feature_config.json").read_text()
-            ).get("config_hash")
-            for width in GRID_WIDTHS
-            if (_feature_dir(args.features, width) / "feature_config.json").is_file()
+            str(width): dsp_features.config_hash(config) for width, config in configs.items()
         },
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(run_manifest, indent=2) + "\n")
@@ -313,7 +272,7 @@ def cmd_grid(args) -> int:
 def cmd_evaluate(args) -> int:
     params = load_model(args.model)
     manifest = load_manifest(args.manifest)
-    features = _load_feature_store(args.features, params.config.n_mfcc, manifest)
+    _, features = _load_feature_store(args.features, params.config.n_mfcc, manifest)
     ids = [rec.id for rec in manifest.records]
     x = train_eval._stack(features, ids, params.config, params.conv_w.dtype)
     labels = [rec.label for rec in manifest.records]

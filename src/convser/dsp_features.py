@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -289,49 +290,80 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
 
 # --- On-disk feature store ----------------------------------------------------
 #
-# One CSV per sample (row = frame, column = coefficient) plus a JSON sidecar
-# recording the config hash, the source content hash, and the valid frame
-# count, so stale features are detected cheaply.
+# One `mfcc<n_mfcc>.npz` per width: the sorted sample ids, each id's valid rows
+# only (concatenated in id order, counts in `n_valid`), each id's source content
+# hash, and the producing FeatureConfig as sorted-key JSON. np.savez stamps every
+# member with the same fixed date, so equal stores are equal bytes.
 
 
-def features_paths(directory, sample_id: str):
-    directory = Path(directory)
-    return directory / f"{sample_id}.features.csv", directory / f"{sample_id}.features.json"
+@dataclass
+class FeatureStore:
+    """One width's stored features: the producing config, and per sample id
+    its valid rows (n_valid x n_mfcc) and its source content hash."""
+
+    config: FeatureConfig
+    rows: dict = field(default_factory=dict)
+    hashes: dict = field(default_factory=dict)
+
+    def matrices(self, ids) -> dict:
+        """{id: FeatureMatrix} for ids, zero-padded to config.max_frames."""
+        out = {}
+        for sample_id in ids:
+            if sample_id not in self.rows:
+                raise ParameterError(f"no {self.config.n_mfcc}-MFCC features for {sample_id!r}; "
+                                     f"run `convser extract --mfcc {self.config.n_mfcc}` first")
+            valid = self.rows[sample_id]
+            values = np.zeros((self.config.max_frames, self.config.n_mfcc))
+            values[: len(valid)] = valid
+            out[sample_id] = FeatureMatrix(values=values, n_valid_frames=len(valid))
+        return out
 
 
-def save_features(fm: FeatureMatrix, directory, sample_id: str, config: FeatureConfig,
-                  content_hash: str = "") -> None:
-    csv_path, sidecar_path = features_paths(directory, sample_id)
-    np.savetxt(csv_path, fm.values, fmt="%.17g", delimiter=",")
-    sidecar = {
-        "id": sample_id,
-        "n_valid_frames": int(fm.n_valid_frames),
-        "n_frames": int(fm.values.shape[0]),
-        "n_mfcc": int(fm.values.shape[1]),
-        "config_hash": config_hash(config),
-        "content_hash": content_hash,
-    }
-    sidecar_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+def _store_path(root, n_mfcc: int) -> Path:
+    return Path(root) / f"mfcc{n_mfcc}.npz"
 
 
-def load_features(directory, sample_id: str) -> FeatureMatrix:
-    csv_path, sidecar_path = features_paths(directory, sample_id)
-    sidecar = json.loads(sidecar_path.read_text())
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    return FeatureMatrix(values=values, n_valid_frames=int(sidecar["n_valid_frames"]))
+def save_features(store: FeatureStore, root) -> None:
+    """Write the store through a temporary file, so an interrupted run never
+    leaves a truncated one."""
+    path = _store_path(root, store.config.n_mfcc)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    ids = sorted(store.rows)
+    rows = [store.rows[i] for i in ids] or [np.zeros((0, store.config.n_mfcc))]
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        np.savez(
+            handle,
+            ids=np.array(ids, dtype=str),
+            n_valid=np.array([len(store.rows[i]) for i in ids], dtype=np.int64),
+            rows=np.concatenate(rows),
+            content_hashes=np.array([store.hashes[i] for i in ids], dtype=str),
+            config=np.array(json.dumps(asdict(store.config), sort_keys=True)),
+        )
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
-def cached_features_fresh(directory, sample_id: str, config: FeatureConfig,
-                          content_hash: str) -> bool:
-    """True when a stored feature file matches both config and source hashes."""
-    csv_path, sidecar_path = features_paths(directory, sample_id)
-    if not (csv_path.is_file() and sidecar_path.is_file()):
-        return False
-    try:
-        sidecar = json.loads(sidecar_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return (
-        sidecar.get("config_hash") == config_hash(config)
-        and sidecar.get("content_hash") == content_hash
-    )
+def load_features(root, n_mfcc: int) -> FeatureStore:
+    path = _store_path(root, n_mfcc)
+    if not path.is_file():
+        raise ParameterError(f"no feature store at {path}; "
+                             f"run `convser extract --mfcc {n_mfcc}` first")
+    with np.load(path, allow_pickle=False) as npz:
+        ids = npz["ids"].tolist()
+        rows = np.split(npz["rows"], np.cumsum(npz["n_valid"])[:-1])
+        hashes = npz["content_hashes"].tolist()
+        config = FeatureConfig(**json.loads(str(npz["config"])))
+    return FeatureStore(config, dict(zip(ids, rows)), dict(zip(ids, hashes)))
+
+
+def cached_features_fresh(root, config: FeatureConfig, content_hashes: dict):
+    """(store, fresh ids) for config's width under root. The store is the one
+    on disk when config made it, else a new empty one; the fresh ids are those
+    in content_hashes whose stored rows came from the same content."""
+    path = _store_path(root, config.n_mfcc)
+    store = load_features(root, config.n_mfcc) if path.is_file() else None
+    if store is None or config_hash(store.config) != config_hash(config):
+        return FeatureStore(config), set()
+    return store, {i for i, h in content_hashes.items() if store.hashes.get(i) == h}

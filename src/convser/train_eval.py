@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .audio_io import DatasetManifest
-from .exceptions import ParameterError
+from .exceptions import ConvserError, ParameterError
 from .neural_net import (
     GRID_FILTERS,
     GRID_KERNELS,
@@ -136,10 +136,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
     return params, state
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> None:
+def clip_global_norm(grads: dict, max_norm: float) -> float:
     """Scale every gradient tensor in place by max_norm / ||g|| when the global
-    L2 norm ||g|| over all of them exceeds max_norm. The norm is a float64
-    pairwise sum, so it does not depend on the BLAS thread count.
+    L2 norm ||g|| over all of them exceeds max_norm, and return ||g||. The
+    norm is a float64 pairwise sum, so it does not depend on the BLAS thread
+    count.
 
     train_model passes the gradients of all tensors, conv_b's included, though
     conv_b is never updated. That is on purpose: conv_b's gradient carries most
@@ -150,6 +151,7 @@ def clip_global_norm(grads: dict, max_norm: float) -> None:
         scale = max_norm / norm
         for g in grads.values():
             g *= scale
+    return norm
 
 
 # --- Dataset splitting ----------------------------------------------------------
@@ -401,14 +403,18 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
         order = rng_for(seed, "epoch", epoch).permutation(n_train)
         loss_sum = 0.0
         correct = 0
-        for start in range(0, n_train, train_config.batch_size):
+        for batch_no, start in enumerate(range(0, n_train, train_config.batch_size), 1):
             batch = order[start : start + train_config.batch_size]
             xb, yb = x_train[batch], y_train[batch]
             prob, trace = model_forward(xb, params)
-            loss_sum += float(bce_from_logit(trace.logit, yb).sum())
+            batch_loss = float(bce_from_logit(trace.logit, yb).sum())
+            loss_sum += batch_loss
             correct += int(((prob >= 0.5).astype(int) == yb).sum())
             grads = model_backward(trace, yb, params).tensors()
-            clip_global_norm(grads, GRAD_CLIP_NORM)
+            norm = clip_global_norm(grads, GRAD_CLIP_NORM)
+            if not (math.isfinite(batch_loss) and math.isfinite(norm)):
+                raise ConvserError(f"training diverged at fold seed {seed}, epoch {epoch}, "
+                                   f"batch {batch_no}: loss {batch_loss}, gradient norm {norm}")
             adam_step(trained, {name: grads[name] for name in TRAINED_TENSORS}, state,
                       train_config)
         val_loss, val_acc, _ = evaluate(params, x_val, y_val, train_config.batch_size)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,16 @@ from convser.audio_io import AudioBuffer
 def make_tone(freq_hz, duration_s=1.0, rate=44100, amplitude=0.5):
     t = np.arange(int(round(duration_s * rate))) / rate
     return AudioBuffer(amplitude * np.sin(2.0 * np.pi * freq_hz * t), rate)
+
+
+def wav_bytes(fmt_tag, channels, rate, bits, payload):
+    block_align = channels * bits // 8
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack(
+        "<IHHIIHH", 16, fmt_tag, channels, rate, rate * block_align, block_align, bits
+    )
+    header += b"data" + struct.pack("<I", len(payload))
+    return header + payload
 
 
 def dominant_frequency(buffer):

@@ -341,7 +341,7 @@ def run_pipeline(root):
     ):
         assert cli_main(argv) == 0
     artifacts = {}
-    for pattern in ("features/13/*.features.csv", "features/40/*.features.csv",
+    for pattern in ("features/mfcc13.npz", "features/mfcc40.npz",
                     "run/*.model.json", "reports/results_13.csv", "reports/results_40.csv"):
         for path in sorted(root.glob(pattern)):
             artifacts[str(path.relative_to(root))] = path.read_bytes()

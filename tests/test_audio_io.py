@@ -14,17 +14,7 @@ from convser.audio_io import (
 )
 from convser.exceptions import FormatError, ManifestError, ParameterError, UnsupportedCodecError
 
-from conftest import dominant_frequency, make_tone
-
-
-def wav_bytes(fmt_tag, channels, rate, bits, payload):
-    block_align = channels * bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack(
-        "<IHHIIHH", 16, fmt_tag, channels, rate, rate * block_align, block_align, bits
-    )
-    header += b"data" + struct.pack("<I", len(payload))
-    return header + payload
+from conftest import dominant_frequency, make_tone, wav_bytes
 
 
 class TestLoadWav:
@@ -79,6 +69,15 @@ class TestLoadWav:
         buf = load_wav(path)
         assert buf.sample_rate == 22050
         assert np.allclose(buf.samples, values, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_rejected(self, tmp_path, bad):
+        values = np.linspace(-0.9, 0.9, 100).astype("<f4")
+        values[37] = bad
+        path = tmp_path / "bad_f32.wav"
+        path.write_bytes(wav_bytes(3, 1, 22050, 32, values.tobytes()))
+        with pytest.raises(FormatError, match="bad_f32.wav.*non-finite"):
+            load_wav(path)
 
     def test_unsupported_codec(self, tmp_path):
         path = tmp_path / "mp3ish.wav"

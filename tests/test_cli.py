@@ -9,6 +9,8 @@ from convser.audio_io import load_manifest
 from convser.cli import main
 from convser.dsp_features import load_features
 
+from conftest import wav_bytes
+
 FIXTURE = Path(__file__).parent / "fixtures" / "results_40_reference.csv"
 
 
@@ -80,18 +82,34 @@ class TestAugment:
 
 class TestExtract:
     def test_feature_files_and_widths(self, pipeline):
-        for width, expect_cols in ((13, 13), (40, 40)):
-            files = sorted((pipeline["features"] / str(width)).glob("*.features.csv"))
-            assert len(files) == 48
-            first_row = files[0].read_text().splitlines()[0]
-            assert len(first_row.split(",")) == expect_cols
+        assert sorted(p.name for p in pipeline["features"].iterdir()) == [
+            "mfcc13.npz", "mfcc40.npz"]
+        for width in (13, 40):
+            store = load_features(pipeline["features"], width)
+            assert store.config.n_mfcc == width and store.config.max_frames == 6
+            assert len(store.rows) == 48
+            assert all(1 <= len(v) <= 6 and v.shape[1] == width for v in store.rows.values())
 
     def test_rerun_is_cached(self, pipeline, capsys):
+        stores = sorted(pipeline["features"].iterdir())
+        before = [(p.read_bytes(), p.stat().st_mtime_ns) for p in stores]
         capsys.readouterr()
         assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
                    "--max-frames", 6, "--out", pipeline["features"]) == 0
         printed = capsys.readouterr().out
-        assert "extracted 0, cached 48" in printed
+        assert "mfcc=13: extracted 0, cached 48" in printed
+        assert "mfcc=40: extracted 0, cached 48" in printed
+        assert sorted(pipeline["features"].iterdir()) == stores
+        assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in stores] == before
+
+    def test_jobs_do_not_change_the_store(self, pipeline, tmp_path):
+        for jobs in (1, 2):
+            assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                       "--mfcc", "13", "--max-frames", 6, "--jobs", jobs,
+                       "--out", tmp_path / f"jobs{jobs}") == 0
+        serial = (tmp_path / "jobs1" / "mfcc13.npz").read_bytes()
+        assert (tmp_path / "jobs2" / "mfcc13.npz").read_bytes() == serial
+        assert (pipeline["features"] / "mfcc13.npz").read_bytes() == serial
 
     def test_corrupt_wav_reported(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "c"
@@ -102,6 +120,17 @@ class TestExtract:
                    "--max-frames", 3, "--out", tmp_path / "f") == 1
         err = capsys.readouterr().err
         assert "synth001" in err
+
+    def test_non_finite_wav_reported(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert run("synth", "--n", 2, "--duration", 0.5, "--seed", 3, "--out", corpus) == 0
+        samples = np.zeros(22050, dtype="<f4")
+        samples[100] = np.nan
+        (corpus / "synth001.wav").write_bytes(wav_bytes(3, 1, 44100, 32, samples.tobytes()))
+        assert run("extract", "--manifest", corpus / "manifest.jsonl", "--mfcc", "13",
+                   "--max-frames", 3, "--out", tmp_path / "f") == 1
+        err = capsys.readouterr().err
+        assert "synth001" in err and "non-finite" in err
 
 
 @pytest.fixture(scope="module")
@@ -179,8 +208,8 @@ class TestTrainPredictEvaluate:
         assert sum(n for _, n in batches) == 48
 
         records = load_manifest(manifest_path).records
-        x = np.stack([load_features(pipeline["features"] / "13", rec.id).values
-                      for rec in records]).astype(np.float32)
+        stored = load_features(pipeline["features"], 13).matrices(rec.id for rec in records)
+        x = np.stack([fm.values for fm in stored.values()]).astype(np.float32)
         y = np.array([rec.label for rec in records])
         _, _, preds = train_eval.evaluate(params, x, y, 16)
         counts = train_eval.confusion(preds.tolist(), y.tolist())

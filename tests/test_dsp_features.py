@@ -4,6 +4,7 @@ import pytest
 from convser.audio_io import AudioBuffer
 from convser.dsp_features import (
     FeatureConfig,
+    FeatureStore,
     cached_features_fresh,
     config_hash,
     dct_ii,
@@ -309,18 +310,53 @@ class TestExtractFeatures:
 
 
 class TestFeatureStore:
-    def test_roundtrip_and_cache(self, tmp_path):
-        tone = make_tone(440, duration_s=1.0)
+    def stored(self, tmp_path, config):
+        """A saved store of three tones; one is cut at max_frames, two are padded."""
+        store = FeatureStore(config)
+        for sample_id, seconds in (("b", 1.0), ("a", 0.5), ("c", 2.0)):
+            fm = extract_features(make_tone(440, duration_s=seconds), config)
+            store.rows[sample_id] = fm.values[: fm.n_valid_frames]
+            store.hashes[sample_id] = f"hash-{sample_id}"
+        save_features(store, tmp_path)
+        return store
+
+    def test_roundtrip_is_bit_exact_with_padding(self, tmp_path):
         config = FeatureConfig.for_width(13, max_frames=6)
-        fm = extract_features(tone, config)
-        save_features(fm, tmp_path, "sample0", config, content_hash="abc")
-        back = load_features(tmp_path, "sample0")
-        assert back.n_valid_frames == fm.n_valid_frames
-        assert np.array_equal(back.values, fm.values)
-        assert cached_features_fresh(tmp_path, "sample0", config, "abc")
-        assert not cached_features_fresh(tmp_path, "sample0", config, "other")
-        other = FeatureConfig.for_width(40, max_frames=6)
-        assert not cached_features_fresh(tmp_path, "sample0", other, "abc")
+        ids = ["a", "b", "c"]
+        expected = {i: extract_features(make_tone(440, duration_s=s), config)
+                    for i, s in zip(ids, (0.5, 1.0, 2.0))}
+        self.stored(tmp_path, config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mfcc13.npz"]
+        back = load_features(tmp_path, 13)
+        assert back.config == config
+        assert back.hashes == {i: f"hash-{i}" for i in ids}
+        matrices = back.matrices(ids)
+        assert sorted({fm.n_valid_frames for fm in matrices.values()}) == [2, 5, 6]
+        for sample_id, fm in matrices.items():
+            assert fm.n_valid_frames == expected[sample_id].n_valid_frames
+            assert fm.values.dtype == expected[sample_id].values.dtype
+            assert np.array_equal(fm.values, expected[sample_id].values)
+
+    def test_fresh_by_content_hash_and_by_config_hash(self, tmp_path):
+        config = FeatureConfig.for_width(13, max_frames=6)
+        self.stored(tmp_path, config)
+        # "c" belongs to another manifest: it is kept but not reported
+        store, fresh = cached_features_fresh(
+            tmp_path, config, {"a": "hash-a", "b": "changed", "d": "hash-d"})
+        assert fresh == {"a"}
+        assert sorted(store.rows) == ["a", "b", "c"]
+        changed = FeatureConfig.for_width(13, max_frames=7)
+        store, fresh = cached_features_fresh(tmp_path, changed, {"a": "hash-a"})
+        assert fresh == set() and store.rows == {} and store.config == changed
+        store, fresh = cached_features_fresh(tmp_path / "none", config, {"a": "hash-a"})
+        assert fresh == set() and store.rows == {}
+
+    def test_missing_store_and_missing_id_name_the_extract_command(self, tmp_path):
+        with pytest.raises(ParameterError, match="convser extract --mfcc 40"):
+            load_features(tmp_path, 40)
+        self.stored(tmp_path, FeatureConfig.for_width(40, max_frames=6))
+        with pytest.raises(ParameterError, match="'zz'.*convser extract --mfcc 40"):
+            load_features(tmp_path, 40).matrices(["a", "zz"])
 
     def test_config_hash_stable_and_sensitive(self):
         a = FeatureConfig.for_width(13)

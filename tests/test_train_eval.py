@@ -6,7 +6,7 @@ import pytest
 
 from convser.audio_io import DatasetManifest, SampleRecord
 from convser.dsp_features import FeatureMatrix
-from convser.exceptions import ParameterError
+from convser.exceptions import ConvserError, ParameterError
 from convser.neural_net import ModelConfig, ModelParams, init_params
 from convser.report import (
     CSV_COLUMNS,
@@ -343,6 +343,47 @@ class TestGradientClipAndConvBias:
                              toy_features(manifest), manifest)
         assert result.params.conv_b.shape == (2,)
         assert np.all(result.params.conv_b == 0.0)
+
+
+class TestDivergenceGuard:
+    """A non-finite batch loss or gradient norm stops training, naming where."""
+
+    @staticmethod
+    def nan_backward(monkeypatch, from_call):
+        real_backward = train_eval.model_backward
+        calls = []
+
+        def poisoned(trace, y, params):
+            grads = real_backward(trace, y, params)
+            calls.append(1)
+            if len(calls) >= from_call:
+                grads.lstm_u[0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(train_eval, "model_backward", poisoned)
+
+    def test_nan_gradient_names_fold_epoch_and_batch(self, monkeypatch):
+        manifest = toy_manifest(24)
+        model_config = ModelConfig(filters=2, kernel_size=3, lstm_units=4, n_mfcc=5, max_frames=6)
+        config = TrainConfig(epochs=3, batch_size=8, seed=3, dtype="float64")
+        self.nan_backward(monkeypatch, from_call=4)  # 17 training records: 3 batches per epoch
+        with pytest.raises(ConvserError,
+                           match=r"fold seed 3, epoch 2, batch 1: loss [0-9.]+, gradient norm nan"):
+            train_model(model_config, config, toy_features(manifest), manifest)
+
+    def test_run_grid_records_divergence_as_failure(self, monkeypatch):
+        manifest = toy_manifest(12)
+        f13 = toy_features(manifest, t=4, width=13, seed=1)
+        f40 = toy_features(manifest, t=4, width=40, seed=2)
+        self.nan_backward(monkeypatch, from_call=1)
+        results = run_grid(TrainConfig(epochs=1, seed=5, n_shuffles=2), f13, manifest, f40,
+                           manifest)
+        for width in (13, 40):
+            assert len(results[width]) == 8
+            for cell in results[width]:
+                assert isinstance(cell, GridFailure)
+                assert cell.error.startswith("ConvserError: training diverged at fold seed 5, "
+                                             "epoch 1, batch 1")
 
 
 class TestCrossValidate:
