@@ -93,11 +93,16 @@ class DatasetManifest:
 # --- WAV I/O ----------------------------------------------------------------
 #
 # Minimal RIFF/WAVE parser: PCM 16-bit (format tag 1) or IEEE float 32-bit
-# (format tag 3), mono or stereo. Anything else is rejected explicitly so
-# callers get a codec error rather than garbage samples.
+# (format tag 3), mono or stereo. WAVE_FORMAT_EXTENSIBLE (tag 0xFFFE) carries
+# the same two codes in the first bytes of its subformat GUID. Anything else is
+# rejected explicitly so callers get a codec error rather than garbage samples.
 
 _PCM = 1
 _IEEE_FLOAT = 3
+_EXTENSIBLE = 0xFFFE
+# bytes 2..15 of every KSDATAFORMAT_SUBTYPE_* GUID that wraps a plain format
+# code; bytes 0..1 hold the code itself, little-endian
+_SUBFORMAT_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def load_wav(path) -> AudioBuffer:
@@ -123,6 +128,16 @@ def load_wav(path) -> AudioBuffer:
             if len(body) < 16:
                 raise FormatError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _EXTENSIBLE:
+                if len(body) < 40:
+                    raise FormatError(f"{path}: extensible fmt chunk truncated")
+                subformat = body[24:40]
+                if subformat[2:] != _SUBFORMAT_GUID_TAIL:
+                    raise UnsupportedCodecError(
+                        f"{path}: extensible subformat {subformat.hex()} is not supported "
+                        "(expect PCM-16 or IEEE float-32)"
+                    )
+                fmt = (int.from_bytes(subformat[:2], "little"),) + fmt[1:]
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise FormatError(f"{path}: data chunk truncated")

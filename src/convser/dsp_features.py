@@ -19,13 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import AudioBuffer
-from .exceptions import ParameterError
+from .exceptions import FormatError, ParameterError
 
 FEATURE_MODES = ("classic13", "static40", "delta39e")
 
@@ -260,6 +261,8 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
         raise ParameterError(
             f"buffer rate {buffer.sample_rate} != config rate {config.sample_rate}; resample first"
         )
+    if not np.isfinite(buffer.samples).all():
+        raise ParameterError("buffer holds non-finite (NaN or infinite) samples")
     frames = frame_signal(buffer, config.frame_len, config.hop)
     energy = frame_log_energy(frames, config.log_floor)
 
@@ -350,11 +353,15 @@ def load_features(root, n_mfcc: int) -> FeatureStore:
     if not path.is_file():
         raise ParameterError(f"no feature store at {path}; "
                              f"run `convser extract --mfcc {n_mfcc}` first")
-    with np.load(path, allow_pickle=False) as npz:
-        ids = npz["ids"].tolist()
-        rows = np.split(npz["rows"], np.cumsum(npz["n_valid"])[:-1])
-        hashes = npz["content_hashes"].tolist()
-        config = FeatureConfig(**json.loads(str(npz["config"])))
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            ids = npz["ids"].tolist()
+            rows = np.split(npz["rows"], np.cumsum(npz["n_valid"])[:-1])
+            hashes = npz["content_hashes"].tolist()
+            config = FeatureConfig(**json.loads(str(npz["config"])))
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise FormatError(f"corrupt feature store {path} ({type(exc).__name__}); "
+                          f"delete it and re-run `convser extract --mfcc {n_mfcc}`") from None
     return FeatureStore(config, dict(zip(ids, rows)), dict(zip(ids, hashes)))
 
 

@@ -9,6 +9,14 @@ model_forward is the one forward implementation: training, evaluation and
 prediction all call it on a batch (B x T x n_mfcc), so the heavy matrix
 products run as single BLAS calls across timesteps. A single sample is a
 batch of one.
+
+The LSTM steps are stacked over the four gate blocks: each forward step
+makes one sigmoid call over all gates (tanh then overwrites the cell block),
+and each backpropagation-through-time step writes the pre-activation
+gradient of all gates as one product, from gate factors computed once before
+the loop. Every multiplication keeps the operands and order of the per-gate
+form, so traces and gradients are bit-identical to it (the per-gate form is
+the reference in the tests).
 """
 
 from __future__ import annotations
@@ -89,12 +97,6 @@ class ModelParams:
         )
 
 
-def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        params.config, *(np.zeros_like(getattr(params, n)) for n in params.TENSOR_NAMES)
-    )
-
-
 def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams:
     """Glorot-uniform weights, zero biases except the forget gate (set to 1).
 
@@ -146,15 +148,12 @@ class ForwardTrace:
 
 
 def _sigmoid(x):
+    """The logistic function in its two overflow-free forms, 1 / (1 + e^-x)
+    for x >= 0 and e^x / (1 + e^x) for x < 0, both from e = exp(-|x|)."""
     x = np.asarray(x)
-    shape = x.shape
-    x = np.atleast_1d(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out.reshape(shape)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _clamp_prob(p):
@@ -210,16 +209,12 @@ def lstm_forward(inputs, params: ModelParams):
     for step in range(t):
         h_prev_all[step] = h
         z = xw[:, step, :] + h @ params.lstm_u.T
-        i = _sigmoid(z[:, 0 * u : 1 * u])
-        f = _sigmoid(z[:, 1 * u : 2 * u])
-        g = np.tanh(z[:, 2 * u : 3 * u])
-        o = _sigmoid(z[:, 3 * u : 4 * u])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        gates[step, 0], gates[step, 1], gates[step, 2], gates[step, 3] = i, f, g, o
-        cell[step] = c
-        tanh_cell[step] = tc
+        # one sigmoid over all four gate blocks, then tanh over the cell block
+        gates[step] = _sigmoid(z).reshape(b, 4, u).transpose(1, 0, 2)
+        np.tanh(z[:, 2 * u : 3 * u], out=gates[step, 2])
+        i, f, g, o = gates[step]
+        c = np.add(f * c, i * g, out=cell[step])
+        h = o * np.tanh(c, out=tanh_cell[step])
 
     cache = {"gates": gates, "cell": cell, "tanh_cell": tanh_cell, "h_prev": h_prev_all}
     return h, cache
@@ -234,8 +229,10 @@ def model_forward(features, params: ModelParams):
         raise ParameterError(
             f"feature width {m} != model n_mfcc {params.config.n_mfcc}"
         )
-    windows = _conv_windows(x, params.config.kernel_size)
-    conv_pre = np.tensordot(windows, params.conv_w[:, 0, :], axes=([3], [0])) + params.conv_b
+    k = params.config.kernel_size
+    windows = _conv_windows(x, k)
+    conv_pre = (windows.reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, t, m, -1)
+    conv_pre += params.conv_b
     # row-major flatten of each timestep: coefficient outer, filter inner
     flat = np.maximum(conv_pre, 0.0).reshape(b, t, m * params.config.filters)
     h_final, lstm_cache = lstm_forward(flat, params)
@@ -274,50 +271,71 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
     if y.shape != trace.prob.shape:
         raise ParameterError(f"labels shape {y.shape} != probabilities shape {trace.prob.shape}")
 
-    grads = zeros_like_params(params)
+    dtype = trace.flat.dtype
+    gates = trace.gates.transpose(0, 2, 1, 3)  # (T, B, 4, units)
 
     # output layer: dL/dlogit = (p - y) / B for the batch-mean loss
     dlogit = (trace.prob - y) / b
-    grads.dense_w[...] = trace.h_final.T @ dlogit
-    grads.dense_b[...] = dlogit.sum()
+    dense_w = trace.h_final.T @ dlogit
+    dense_b = dlogit.sum()
     dh = np.outer(dlogit, params.dense_w)
 
-    # backprop through time
-    dz_all = np.empty((t, b, 4 * u), dtype=trace.flat.dtype)
-    dc = np.zeros((b, u), dtype=trace.flat.dtype)
+    # backprop through time. Per step, the gate pre-activation gradient of the
+    # (B, 4, units) block is dz = (d_gate * act) * slope, where d_gate holds
+    # dc * (g, c_prev, i) and dh * tanh(c), act the gate values with 1 in the
+    # cell block, and slope the derivative factors 1 - gate (1 - g^2 in the
+    # cell block): the per-gate products in their original order, as x * 1 == x.
+    act = gates.copy()
+    act[:, :, 2] = 1.0
+    slope = 1.0 - gates
+    slope[:, :, 2] = 1.0 - gates[:, :, 2] * gates[:, :, 2]
+    dtanh_cell = 1.0 - trace.tanh_cell * trace.tanh_cell
+
+    lstm_u = np.zeros_like(params.lstm_u)
+    dz_all = np.empty((t, b, 4 * u), dtype=dtype)
+    d_gate = np.empty((b, 4, u), dtype=dtype)
+    d_i, d_f, d_g, d_o = d_gate.transpose(1, 0, 2)  # views of the four blocks
+    dc = np.zeros((b, u), dtype=dtype)
     for step in range(t - 1, -1, -1):
         i, f, g, o = trace.gates[step]
-        tc = trace.tanh_cell[step]
         c_prev = trace.cell[step - 1] if step > 0 else np.zeros_like(dc)
-
-        do = dh * tc
-        dc = dc + dh * o * (1.0 - tc * tc)
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
-
+        dc = dc + dh * o * dtanh_cell[step]
+        np.multiply(dc, g, out=d_i)
+        np.multiply(dc, c_prev, out=d_f)
+        np.multiply(dc, i, out=d_g)
+        np.multiply(dh, trace.tanh_cell[step], out=d_o)
         dz = dz_all[step]
-        dz[:, 0 * u : 1 * u] = di * i * (1.0 - i)
-        dz[:, 1 * u : 2 * u] = df * f * (1.0 - f)
-        dz[:, 2 * u : 3 * u] = dg * (1.0 - g * g)
-        dz[:, 3 * u : 4 * u] = do * o * (1.0 - o)
+        dz_blocks = dz.reshape(b, 4, u)
+        np.multiply(d_gate, act[step], out=dz_blocks)
+        dz_blocks *= slope[step]
 
-        grads.lstm_u += dz.T @ trace.h_prev[step]
+        lstm_u += dz.T @ trace.h_prev[step]
         dh = dz @ params.lstm_u
         dc = dc * f
+    del act, slope, dtanh_cell  # freed before the large products below, to keep peak memory
 
     # input projections of all timesteps reduce to single GEMMs
     dz_flat = dz_all.transpose(1, 0, 2).reshape(b * t, 4 * u)
-    grads.lstm_w[...] = dz_flat.T @ trace.flat.reshape(b * t, -1)
-    grads.lstm_b[...] = dz_flat.sum(axis=0)
+    lstm_w = dz_flat.T @ trace.flat.reshape(b * t, -1)
+    lstm_b = dz_flat.sum(axis=0)
     dflat = (dz_flat @ params.lstm_w).reshape(b, t, -1)
 
     # flatten -> ReLU mask -> convolution
-    dconv = dflat.reshape(b, t, m, params.config.filters)
-    dpre = dconv * (trace.conv_pre > 0.0)
-    grads.conv_w[:, 0, :] = np.tensordot(trace.windows, dpre, axes=([0, 1, 2], [0, 1, 2]))
-    grads.conv_b[...] = dpre.sum(axis=(0, 1, 2))
-    return grads
+    k, _, filters = params.conv_w.shape
+    dpre = dflat.reshape(b, t, m, filters) * (trace.conv_pre > 0.0)
+    conv_w = trace.windows.transpose(3, 0, 1, 2).reshape(k, -1) @ dpre.reshape(-1, filters)
+    grads = {
+        "conv_w": conv_w.reshape(k, 1, filters),
+        "conv_b": dpre.sum(axis=(0, 1, 2)),
+        "lstm_w": lstm_w,
+        "lstm_u": lstm_u,
+        "lstm_b": lstm_b,
+        "dense_w": dense_w,
+        "dense_b": dense_b,
+    }
+    return ModelParams(params.config, **{
+        name: np.asarray(g, dtype=getattr(params, name).dtype) for name, g in grads.items()
+    })
 
 
 # --- Serialization ------------------------------------------------------------

@@ -417,7 +417,7 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
                                    f"batch {batch_no}: loss {batch_loss}, gradient norm {norm}")
             adam_step(trained, {name: grads[name] for name in TRAINED_TENSORS}, state,
                       train_config)
-        val_loss, val_acc, _ = evaluate(params, x_val, y_val, train_config.batch_size)
+        val_loss, val_acc, val_preds = evaluate(params, x_val, y_val, train_config.batch_size)
         history["train_loss"].append(loss_sum / n_train)
         history["train_accuracy"].append(correct / n_train)
         history["val_loss"].append(val_loss)
@@ -425,13 +425,13 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
         if train_config.model_selection == "best_val" and val_acc > best[0]:
             best = (val_acc, epoch, params.copy())
 
-    if train_config.model_selection == "best_val" and best[2] is not None:
+    # final_epoch keeps the last epoch's weights, so its validation predictions
+    # are already scored; best_val re-scores the copy it selected
+    selected_epoch = train_config.epochs
+    if train_config.model_selection == "best_val":
         params, selected_epoch = best[2], best[1]
-    else:
-        selected_epoch = train_config.epochs
-
-    _, _, preds = evaluate(params, x_val, y_val, train_config.batch_size)
-    counts = confusion(preds.tolist(), [int(v) for v in y_val])
+        _, _, val_preds = evaluate(params, x_val, y_val, train_config.batch_size)
+    counts = confusion(val_preds.tolist(), [int(v) for v in y_val])
     report = metrics(counts)
     return TrainResult(
         params=params,

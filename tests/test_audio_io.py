@@ -1,5 +1,6 @@
 import json
 import struct
+import uuid
 
 import numpy as np
 import pytest
@@ -89,6 +90,62 @@ class TestLoadWav:
         path = tmp_path / "pcm8.wav"
         path.write_bytes(wav_bytes(1, 1, 44100, 8, b"\x00" * 32))
         with pytest.raises(UnsupportedCodecError):
+            load_wav(path)
+
+
+def extensible_wav_bytes(subformat, channels, rate, bits, payload):
+    """A WAVE_FORMAT_EXTENSIBLE file: the 40-byte fmt chunk ends in the
+    subformat GUID, in its little-endian byte layout."""
+    block_align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block_align, block_align, bits)
+    fmt += struct.pack("<HHI", 22, bits, 0) + uuid.UUID(subformat).bytes_le
+    header = b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    return header + b"data" + struct.pack("<I", len(payload)) + payload
+
+
+KSDATAFORMAT_SUBTYPE_PCM = "00000001-0000-0010-8000-00aa00389b71"
+KSDATAFORMAT_SUBTYPE_IEEE_FLOAT = "00000003-0000-0010-8000-00aa00389b71"
+
+
+class TestWaveFormatExtensible:
+    def test_pcm16_reads_like_plain_pcm(self, tmp_path):
+        ints = (np.sin(np.linspace(0, 20, 512)) * 20000).astype("<i2")
+        stereo = np.repeat(ints, 2).tobytes()
+        (tmp_path / "plain.wav").write_bytes(wav_bytes(1, 2, 8000, 16, stereo))
+        (tmp_path / "ext.wav").write_bytes(
+            extensible_wav_bytes(KSDATAFORMAT_SUBTYPE_PCM, 2, 8000, 16, stereo))
+        plain, ext = load_wav(tmp_path / "plain.wav"), load_wav(tmp_path / "ext.wav")
+        assert ext.sample_rate == 8000
+        assert np.array_equal(ext.samples, plain.samples)
+        assert np.array_equal(ext.samples, ints.astype(np.float64) / 32768.0)
+
+    def test_float32_reads_like_plain_float(self, tmp_path):
+        values = np.linspace(-0.9, 0.9, 100).astype("<f4")
+        path = tmp_path / "ext_f32.wav"
+        path.write_bytes(extensible_wav_bytes(KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, 1, 22050, 32,
+                                              values.tobytes()))
+        buf = load_wav(path)
+        assert buf.sample_rate == 22050
+        assert np.array_equal(buf.samples, values.astype(np.float64))
+
+    @pytest.mark.parametrize("subformat, bits", [
+        (KSDATAFORMAT_SUBTYPE_PCM, 24),
+        (KSDATAFORMAT_SUBTYPE_PCM, 8),
+        (KSDATAFORMAT_SUBTYPE_IEEE_FLOAT, 64),
+        ("00000006-0000-0010-8000-00aa00389b71", 8),   # A-law
+        ("00000001-0721-11d3-8644-c8c1ca000000", 16),  # ambisonic B-format PCM
+    ])
+    def test_other_subformats_rejected(self, tmp_path, subformat, bits):
+        path = tmp_path / "other.wav"
+        path.write_bytes(extensible_wav_bytes(subformat, 1, 8000, bits, b"\x00" * 48))
+        with pytest.raises(UnsupportedCodecError, match="other.wav"):
+            load_wav(path)
+
+    def test_short_extensible_fmt_chunk(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(wav_bytes(0xFFFE, 1, 8000, 16, b"\x00" * 32))
+        with pytest.raises(FormatError, match="short.wav.*truncated"):
             load_wav(path)
 
 

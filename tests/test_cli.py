@@ -132,6 +132,61 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "synth001" in err and "non-finite" in err
 
+    def test_non_finite_buffer_reported(self, tmp_path, capsys, monkeypatch):
+        """A buffer that reaches extraction with a NaN sample fails its record."""
+        corpus = tmp_path / "c"
+        assert run("synth", "--n", 2, "--duration", 0.5, "--seed", 3, "--out", corpus) == 0
+        real_load_wav = cli.load_wav
+
+        def load_with_nan(path):
+            buffer = real_load_wav(path)
+            if Path(path).name == "synth001.wav":
+                buffer.samples[100] = np.nan
+            return buffer
+
+        monkeypatch.setattr(cli, "load_wav", load_with_nan)
+        assert run("extract", "--manifest", corpus / "manifest.jsonl", "--mfcc", "13",
+                   "--max-frames", 3, "--out", tmp_path / "f") == 1
+        err = capsys.readouterr().err
+        assert "synth001" in err and "non-finite" in err and "synth000" not in err
+
+
+def damage_store(pipeline, tmp_path, damage):
+    """A copy of the pipeline's feature store whose mfcc13.npz is junk or cut."""
+    features = tmp_path / "features"
+    features.mkdir()
+    for store in pipeline["features"].iterdir():
+        (features / store.name).write_bytes(store.read_bytes())
+    path = features / "mfcc13.npz"
+    intact = path.read_bytes()
+    path.write_bytes(b"junk" if damage == "junk" else intact[: len(intact) // 2])
+    return features
+
+
+@pytest.mark.parametrize("damage", ["junk", "truncated"])
+class TestCorruptStore:
+    """A damaged store exits 1 with an error that names the file and the fix."""
+
+    def check_error(self, capsys, features):
+        err = capsys.readouterr().err
+        assert str(features / "mfcc13.npz") in err
+        assert "corrupt" in err and "convser extract --mfcc 13" in err
+
+    def test_extract(self, pipeline, tmp_path, capsys, damage):
+        features = damage_store(pipeline, tmp_path, damage)
+        capsys.readouterr()
+        assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--mfcc", "13", "--max-frames", 6, "--out", features) == 1
+        self.check_error(capsys, features)
+
+    def test_train(self, pipeline, tmp_path, capsys, damage):
+        features = damage_store(pipeline, tmp_path, damage)
+        capsys.readouterr()
+        assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", features, "--mfcc", "13", "--epochs", 1,
+                   "--out", tmp_path / "r") == 1
+        self.check_error(capsys, features)
+
 
 @pytest.fixture(scope="module")
 def run_dir(pipeline, tmp_path_factory):

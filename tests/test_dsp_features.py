@@ -302,6 +302,13 @@ class TestExtractFeatures:
         with pytest.raises(ParameterError, match="resample"):
             extract_features(make_tone(100, 1.0, rate=16000), FeatureConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        tone = make_tone(440, duration_s=0.5)
+        tone.samples[-1] = bad
+        with pytest.raises(ParameterError, match="non-finite"):
+            extract_features(tone, FeatureConfig.for_width(13, max_frames=3))
+
     def test_truncation_to_max_frames(self):
         tone = make_tone(500, duration_s=2.0)
         fm = extract_features(tone, FeatureConfig.for_width(13, max_frames=3))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from convser.neural_net import (
     model_backward,
     model_forward,
     save_model,
-    zeros_like_params,
 )
+from convser.neural_net import _sigmoid
 
 TINY = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
 
@@ -90,6 +91,147 @@ def conv_relu(x, params):
     read back from its trace as (T, n_mfcc, filters)."""
     _, trace = model_forward(x[None], params)
     return np.maximum(trace.conv_pre, 0.0)[0]
+
+
+# --- Per-gate reference ------------------------------------------------------
+#
+# The forward and backward passes as first written: a sigmoid per gate, each
+# gate's backward product written separately, and tensordot for the
+# convolution. model_forward and model_backward stack the gates and must give
+# the same bits.
+
+
+def reference_sigmoid(x):
+    x = np.asarray(x)
+    shape = x.shape
+    x = np.atleast_1d(x)
+    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out.reshape(shape)
+
+
+def reference_forward(x, params):
+    """Every ForwardTrace array, by name."""
+    cfg = params.config
+    b, t, m = x.shape
+    k, u = cfg.kernel_size, cfg.lstm_units
+    pad_left = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_left, k - 1 - pad_left)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    conv_pre = np.tensordot(windows, params.conv_w[:, 0, :], axes=([3], [0])) + params.conv_b
+    flat = np.maximum(conv_pre, 0.0).reshape(b, t, m * cfg.filters)
+
+    dtype = params.lstm_w.dtype
+    xw = (flat.reshape(b * t, -1) @ params.lstm_w.T).reshape(b, t, 4 * u) + params.lstm_b
+    gates = np.empty((t, 4, b, u), dtype=dtype)
+    cell = np.empty((t, b, u), dtype=dtype)
+    tanh_cell = np.empty((t, b, u), dtype=dtype)
+    h_prev = np.empty((t, b, u), dtype=dtype)
+    h = np.zeros((b, u), dtype=dtype)
+    c = np.zeros((b, u), dtype=dtype)
+    for step in range(t):
+        h_prev[step] = h
+        z = xw[:, step, :] + h @ params.lstm_u.T
+        i = reference_sigmoid(z[:, 0 * u : 1 * u])
+        f = reference_sigmoid(z[:, 1 * u : 2 * u])
+        g = np.tanh(z[:, 2 * u : 3 * u])
+        o = reference_sigmoid(z[:, 3 * u : 4 * u])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gates[step, 0], gates[step, 1], gates[step, 2], gates[step, 3] = i, f, g, o
+        cell[step] = c
+        tanh_cell[step] = tc
+
+    logit = h @ params.dense_w + params.dense_b
+    p = reference_sigmoid(logit)
+    prob = np.clip(p, np.finfo(p.dtype).tiny, np.nextafter(p.dtype.type(1), p.dtype.type(0)))
+    return dict(x=x, windows=windows, conv_pre=conv_pre, flat=flat, gates=gates, cell=cell,
+                tanh_cell=tanh_cell, h_prev=h_prev, h_final=h, logit=logit, prob=prob)
+
+
+def reference_backward(trace, y, params):
+    """Every gradient tensor, by name."""
+    b, t, m = trace["x"].shape
+    u = params.config.lstm_units
+    y = np.asarray(y, dtype=trace["prob"].dtype)
+    grads = {name: np.zeros_like(getattr(params, name)) for name in params.TENSOR_NAMES}
+
+    dlogit = (trace["prob"] - y) / b
+    grads["dense_w"][...] = trace["h_final"].T @ dlogit
+    grads["dense_b"][...] = dlogit.sum()
+    dh = np.outer(dlogit, params.dense_w)
+
+    dz_all = np.empty((t, b, 4 * u), dtype=trace["flat"].dtype)
+    dc = np.zeros((b, u), dtype=trace["flat"].dtype)
+    for step in range(t - 1, -1, -1):
+        i, f, g, o = trace["gates"][step]
+        tc = trace["tanh_cell"][step]
+        c_prev = trace["cell"][step - 1] if step > 0 else np.zeros_like(dc)
+
+        do = dh * tc
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di = dc * g
+        dg = dc * i
+        df = dc * c_prev
+
+        dz = dz_all[step]
+        dz[:, 0 * u : 1 * u] = di * i * (1.0 - i)
+        dz[:, 1 * u : 2 * u] = df * f * (1.0 - f)
+        dz[:, 2 * u : 3 * u] = dg * (1.0 - g * g)
+        dz[:, 3 * u : 4 * u] = do * o * (1.0 - o)
+
+        grads["lstm_u"] += dz.T @ trace["h_prev"][step]
+        dh = dz @ params.lstm_u
+        dc = dc * f
+
+    dz_flat = dz_all.transpose(1, 0, 2).reshape(b * t, 4 * u)
+    grads["lstm_w"][...] = dz_flat.T @ trace["flat"].reshape(b * t, -1)
+    grads["lstm_b"][...] = dz_flat.sum(axis=0)
+    dflat = (dz_flat @ params.lstm_w).reshape(b, t, -1)
+    dpre = dflat.reshape(b, t, m, params.config.filters) * (trace["conv_pre"] > 0.0)
+    grads["conv_w"][:, 0, :] = np.tensordot(trace["windows"], dpre, axes=([0, 1, 2], [0, 1, 2]))
+    grads["conv_b"][...] = dpre.sum(axis=(0, 1, 2))
+    return grads
+
+
+M1_13 = ModelConfig(filters=16, kernel_size=5, lstm_units=20, n_mfcc=13, max_frames=20)
+M8_40 = ModelConfig(filters=32, kernel_size=20, lstm_units=40, n_mfcc=40, max_frames=20)
+
+
+class TestMatchesPerGateReference:
+    @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trace_and_gradients_bit_identical(self, config, batch, dtype):
+        params = random_params(config, 7).astype(dtype)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1, 1, (batch, config.max_frames, config.n_mfcc)).astype(dtype)
+        y = (np.arange(batch) % 2).astype(dtype)
+        _, trace = model_forward(x, params)
+        expected = reference_forward(x, params)
+        for name, want in expected.items():
+            got = getattr(trace, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        grads = model_backward(trace, y, params)
+        for name, want in reference_backward(expected, y, params).items():
+            got = getattr(grads, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_edge_values(self, dtype):
+        x = np.array([0.0, -0.0, 88.0, -88.0, 1e4, -1e4, np.nan], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _sigmoid(x)
+            want = reference_sigmoid(x)
+        assert got.dtype == want.dtype
+        # NaN stays NaN; its sign bit is not part of the contract
+        assert np.array_equal(got, want, equal_nan=True)
+        assert got[0] == got[1] == 0.5 and got[4] == 1.0 and got[5] == 0.0
 
 
 class TestConv:

@@ -269,6 +269,33 @@ class TestTrainModel:
         best_epoch = int(np.argmax(result.history["val_accuracy"]))
         assert result.selected_epoch == best_epoch
 
+    @pytest.mark.parametrize("selection, val_scorings", [("final_epoch", 5), ("best_val", 6)])
+    def test_final_validation_scoring(self, monkeypatch, selection, val_scorings):
+        """final_epoch reuses the last epoch's validation predictions, best_val
+        re-scores its selected copy; either way the counts are those of the
+        returned weights."""
+        manifest = toy_manifest(24)
+        features = toy_features(manifest)
+        real_evaluate = train_eval.evaluate
+        scored_rows = []
+
+        def spy_evaluate(params, x, y, batch_size):
+            scored_rows.append(len(x))
+            return real_evaluate(params, x, y, batch_size)
+
+        monkeypatch.setattr(train_eval, "evaluate", spy_evaluate)
+        config = self.small_config(epochs=4, model_selection=selection)
+        result = train_model(self.model_config(), config, features, manifest)
+        n_val = len(result.val_ids)
+        assert n_val != len(result.train_ids)
+        assert scored_rows.count(n_val) == val_scorings
+
+        labels = {rec.id: rec.label for rec in manifest.records}
+        x_val = np.stack([features[i].values for i in result.val_ids])
+        y_val = np.array([labels[i] for i in result.val_ids])
+        _, _, preds = real_evaluate(result.params, x_val, y_val, config.batch_size)
+        assert result.counts == confusion(preds.tolist(), y_val.tolist())
+
     def test_single_label_manifest_rejected(self):
         manifest = toy_manifest(10)
         for rec in manifest.records:
