@@ -22,7 +22,7 @@ import numpy as np
 
 from . import augmentation, dsp_features, report, synth_data, train_eval
 from .audio_io import load_manifest, load_wav, resample_linear, save_manifest
-from .exceptions import ConvserError, ParameterError
+from .exceptions import ConvserError, FormatError, ParameterError
 from .neural_net import GRID_WIDTHS, ModelConfig, load_model, model_forward, save_model
 from .train_eval import TrainConfig
 
@@ -270,7 +270,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params = load_model(args.model)
+    params, _ = load_model(args.model)
     manifest = load_manifest(args.manifest)
     _, features = _load_feature_store(args.features, params.config.n_mfcc, manifest)
     ids = [rec.id for rec in manifest.records]
@@ -290,11 +290,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    params = load_model(args.model)
-    doc = json.loads(Path(args.model).read_text())
-    if "feature_config" not in doc:
-        raise ParameterError(f"{args.model}: no feature_config section; cannot extract features")
-    config = dsp_features.FeatureConfig(**doc["feature_config"])
+    params, extra = load_model(args.model)
+    try:
+        config = dsp_features.FeatureConfig(**extra["feature_config"])
+    except (KeyError, TypeError, ParameterError) as exc:
+        raise FormatError(f"{args.model}: no usable feature_config section "
+                          f"({type(exc).__name__}: {exc}); cannot extract features") from None
     for wav in args.wavs:
         buffer = load_wav(wav)
         if buffer.sample_rate != config.sample_rate:

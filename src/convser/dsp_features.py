@@ -16,6 +16,7 @@ frames so every utterance presents the same shape to the classifier.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -150,19 +151,24 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     to the next, so every FFT bin between the first and last center gets
     nonzero weight from at least one filter.
     """
-    n_bins = config.n_fft // 2 + 1
-    mel_points = np.linspace(hz_to_mel(config.fmin), hz_to_mel(config.fmax), config.n_mels + 2)
+    return _mel_filterbank(config.sample_rate, config.n_fft, config.n_mels,
+                           config.fmin, config.fmax)
+
+
+def _mel_filterbank(sample_rate, n_fft, n_mels, fmin, fmax) -> np.ndarray:
+    n_bins = n_fft // 2 + 1
+    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.round(hz_points * config.n_fft / config.sample_rate).astype(int)
+    bins = np.round(hz_points * n_fft / sample_rate).astype(int)
     bins = np.minimum(bins, n_bins - 1)
     if np.any(np.diff(bins) < 1):
         raise ParameterError(
-            f"{config.n_mels} Mel filters collapse at n_fft={config.n_fft}: "
+            f"{n_mels} Mel filters collapse at n_fft={n_fft}: "
             "adjacent centers map to the same FFT bin; reduce n_mels or raise frame_len"
         )
 
-    fb = np.zeros((config.n_mels, n_bins))
-    for m in range(config.n_mels):
+    fb = np.zeros((n_mels, n_bins))
+    for m in range(n_mels):
         left, center, right = bins[m], bins[m + 1], bins[m + 2]
         up = np.arange(left, center + 1)
         fb[m, up] = (up - left) / (center - left)
@@ -250,6 +256,18 @@ def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.nda
     return matrix
 
 
+@functools.lru_cache(maxsize=8)
+def _dsp_constants(sample_rate, frame_len, n_mels, fmin, fmax):
+    """The Hamming window, Mel filterbank and n_mels x n_mels DCT-II basis of
+    one framing and filterbank setup, built once and shared read-only."""
+    constants = (hamming_window(frame_len),
+                 _mel_filterbank(sample_rate, frame_len, n_mels, fmin, fmax),
+                 dct_matrix(n_mels))
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
 def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatrix:
     """Run the full per-utterance feature pipeline.
 
@@ -266,16 +284,16 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     frames = frame_signal(buffer, config.frame_len, config.hop)
     energy = frame_log_energy(frames, config.log_floor)
 
-    windowed = frames * hamming_window(config.frame_len)
-    power = fft_power_spectrum(windowed)
-    fb = mel_filterbank(config)
+    window, fb, dct = _dsp_constants(config.sample_rate, config.frame_len, config.n_mels,
+                                     config.fmin, config.fmax)
+    power = fft_power_spectrum(frames * window)
     log_e = log_mel_energies(power, fb, config.log_floor)
 
     if config.feature_mode == "static40":
-        basis = dct_matrix(config.n_mels)[: config.n_mfcc]
+        basis = dct[: config.n_mfcc]
         raw = log_e @ basis.T
     else:
-        basis = dct_matrix(config.n_mels)[:13]
+        basis = dct[:13]
         cepstra = log_e @ basis.T
         base13 = np.column_stack([cepstra[:, 1:13], energy])
         if config.feature_mode == "classic13":

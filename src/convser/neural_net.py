@@ -21,15 +21,16 @@ the reference in the tests).
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ParameterError
+from .exceptions import FormatError, ParameterError
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # gate block order inside the stacked LSTM matrices, fixed for serialization
 GATE_ORDER = ("input", "forget", "cell", "output")
@@ -56,6 +57,20 @@ class ModelConfig:
     @property
     def flat_width(self) -> int:
         return self.n_mfcc * self.filters
+
+    @property
+    def tensor_shapes(self) -> dict:
+        """Shape of every ModelParams tensor, in TENSOR_NAMES order."""
+        u, f = self.lstm_units, self.filters
+        return {
+            "conv_w": (self.kernel_size, 1, f),
+            "conv_b": (f,),
+            "lstm_w": (4 * u, self.flat_width),
+            "lstm_u": (4 * u, u),
+            "lstm_b": (4 * u,),
+            "dense_w": (u,),
+            "dense_b": (),
+        }
 
     @property
     def in_paper_grid(self) -> bool:
@@ -103,30 +118,25 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams
     conv_b is stored like every other tensor, but training holds it at this
     zero initialisation (train_eval.TRAINED_TENSORS leaves it out)."""
     rng = np.random.default_rng(seed)
+    shapes = config.tensor_shapes
     u = config.lstm_units
     d = config.flat_width
     k = config.kernel_size
 
-    def glorot(shape, fan_in, fan_out):
+    def glorot(name, fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
+        return rng.uniform(-limit, limit, size=shapes[name])
 
-    conv_w = glorot((k, 1, config.filters), k, k * config.filters)
-    lstm_w = glorot((4 * u, d), d, 4 * u)
-    lstm_u = glorot((4 * u, u), u, 4 * u)
-    lstm_b = np.zeros(4 * u)
-    lstm_b[u : 2 * u] = 1.0  # forget-gate bias, aids early gradient flow
-    dense_w = glorot((u,), u, 1)
-    params = ModelParams(
-        config=config,
-        conv_w=conv_w,
-        conv_b=np.zeros(config.filters),
-        lstm_w=lstm_w,
-        lstm_u=lstm_u,
-        lstm_b=lstm_b,
-        dense_w=dense_w,
-        dense_b=np.zeros(()),
-    )
+    tensors = {
+        "conv_w": glorot("conv_w", k, k * config.filters),
+        "lstm_w": glorot("lstm_w", d, 4 * u),
+        "lstm_u": glorot("lstm_u", u, 4 * u),
+        "dense_w": glorot("dense_w", u, 1),
+    }
+    for name in ("conv_b", "lstm_b", "dense_b"):
+        tensors[name] = np.zeros(shapes[name])
+    tensors["lstm_b"][u : 2 * u] = 1.0  # forget-gate bias, aids early gradient flow
+    params = ModelParams(config=config, **tensors)
     return params.astype(dtype)
 
 
@@ -339,43 +349,75 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
 
 
 # --- Serialization ------------------------------------------------------------
+#
+# One sorted-key JSON document per model: format_version, gate_order,
+# model_config, dtype, tensors, plus the caller's extra metadata as further
+# top-level keys. Each tensor is {"shape": [...], "data": base64 of its C-order
+# little-endian bytes in the model dtype}, so a load gives back the saved bits.
+
+MODEL_DTYPES = ("float32", "float64")
+_FORMAT_KEYS = ("format_version", "gate_order", "model_config", "dtype", "tensors")
 
 
 def save_model(params: ModelParams, path, extra: dict | None = None) -> None:
-    """Write a model as a single JSON document with explicit tensor shapes."""
+    """Write a model file; `extra` adds top-level metadata keys."""
+    dtype = params.conv_w.dtype
+    wire = dtype.newbyteorder("<")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "gate_order": list(GATE_ORDER),
-        "model_config": {
-            "filters": params.config.filters,
-            "kernel_size": params.config.kernel_size,
-            "lstm_units": params.config.lstm_units,
-            "n_mfcc": params.config.n_mfcc,
-            "max_frames": params.config.max_frames,
-        },
-        "dtype": str(params.conv_w.dtype),
+        "model_config": asdict(params.config),
+        "dtype": str(dtype),
         "tensors": {
-            name: {"shape": list(t.shape), "data": t.astype(np.float64).ravel().tolist()}
+            name: {"shape": list(t.shape),
+                   "data": base64.b64encode(np.asarray(t, dtype=wire).tobytes()).decode("ascii")}
             for name, t in params.tensors().items()
         },
     }
-    if extra:
-        doc.update(extra)
+    doc.update(extra or {})
     Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def load_model(path) -> ModelParams:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ParameterError(
-            f"unsupported model format_version {doc.get('format_version')!r}"
-        )
-    if tuple(doc.get("gate_order", ())) != GATE_ORDER:
-        raise ParameterError(f"unexpected gate order {doc.get('gate_order')!r}")
-    config = ModelConfig(**doc["model_config"])
-    dtype = np.dtype(doc.get("dtype", "float64"))
+def load_model(path) -> tuple[ModelParams, dict]:
+    """Read a save_model file: the saved tensors, bit for bit, and the extra
+    metadata. Raises FormatError naming the file when it is not a readable
+    model of this format with the tensor shapes its model_config implies."""
+    try:
+        return _parse_model(json.loads(Path(path).read_bytes()))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # bad JSON or base64, a missing key, or a value of the wrong type
+        raise FormatError(f"{path}: not a readable model file ({type(exc).__name__}: {exc}); "
+                          "re-run `convser train`") from None
+
+
+def _parse_model(doc) -> tuple[ModelParams, dict]:
+    version = doc["format_version"]
+    if version != MODEL_FORMAT_VERSION:
+        raise FormatError(f"model format_version {version!r} is not {MODEL_FORMAT_VERSION}; "
+                          "re-run `convser train` to write a current model file")
+    if doc["gate_order"] != list(GATE_ORDER):
+        raise FormatError(f"gate order {doc['gate_order']!r} is not {list(GATE_ORDER)}")
+    fields = doc["model_config"]
+    if not all(type(v) is int for v in fields.values()):
+        raise FormatError(f"model_config {fields!r} holds a non-integer value")
+    try:
+        config = ModelConfig(**fields)
+    except ParameterError as exc:
+        raise FormatError(f"bad model_config: {exc}") from None
+    if doc["dtype"] not in MODEL_DTYPES:
+        raise FormatError(f"dtype {doc['dtype']!r} not in {MODEL_DTYPES}")
+    dtype = np.dtype(doc["dtype"])
     tensors = {}
-    for name in ModelParams.TENSOR_NAMES:
+    for name, shape in config.tensor_shapes.items():
         entry = doc["tensors"][name]
-        tensors[name] = np.array(entry["data"], dtype=dtype).reshape(entry["shape"])
-    return ModelParams(config=config, **tensors)
+        if entry["shape"] != list(shape):
+            raise FormatError(f"{name} has shape {entry['shape']}, model_config implies {list(shape)}")
+        raw = base64.b64decode(entry["data"], validate=True)
+        size = int(np.prod(shape)) * dtype.itemsize
+        if len(raw) != size:
+            raise FormatError(f"{name} holds {len(raw)} bytes, {list(shape)} {dtype} needs {size}")
+        tensors[name] = np.frombuffer(raw, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+    extra = {key: value for key, value in doc.items() if key not in _FORMAT_KEYS}
+    return ModelParams(config=config, **tensors), extra

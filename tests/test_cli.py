@@ -217,7 +217,7 @@ class TestTrainPredictEvaluate:
         models = sorted(run_dir.glob("M1-13_fold*.model.json"))
         assert len(models) == 3
         doc = json.loads(models[0].read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["feature_config"]["n_mfcc"] == 13
         assert doc["config_hash"]
 
@@ -243,7 +243,7 @@ class TestTrainPredictEvaluate:
         """evaluate scores in the model's dtype, in training's batches, and
         prints the counts of train_eval.evaluate."""
         model = run_dir / "M1-13_fold0.model.json"
-        params = neural_net.load_model(model)
+        params, _ = neural_net.load_model(model)
         assert params.conv_w.dtype == np.float32
         batches = []
         real_forward = neural_net.model_forward
@@ -270,12 +270,86 @@ class TestTrainPredictEvaluate:
         counts = train_eval.confusion(preds.tolist(), y.tolist())
         assert f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}" in printed
 
+    def test_predict_reads_the_model_file_once(self, pipeline, run_dir, capsys, monkeypatch):
+        model = run_dir / "M1-13_fold0.model.json"
+        reads, parses = [], []
+        real_read_text, real_read_bytes, real_loads = Path.read_text, Path.read_bytes, json.loads
+
+        def spy_read_text(path, *args, **kwargs):
+            reads.append(Path(path))
+            return real_read_text(path, *args, **kwargs)
+
+        def spy_read_bytes(path):
+            reads.append(Path(path))
+            return real_read_bytes(path)
+
+        def spy_loads(text, *args, **kwargs):
+            parses.append(len(text))
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", spy_read_text)
+        monkeypatch.setattr(Path, "read_bytes", spy_read_bytes)
+        monkeypatch.setattr(json, "loads", spy_loads)
+        assert run("predict", "--model", model, pipeline["corpus"] / "synth000.wav") == 0
+        assert reads.count(model) == 1
+        assert len(parses) == 1
+
+    @pytest.mark.parametrize("feature_config", [None, {"bogus": 1}, {"n_mfcc": 7}])
+    def test_predict_needs_a_usable_feature_config(self, pipeline, run_dir, tmp_path, capsys,
+                                                   feature_config):
+        doc = json.loads((run_dir / "M1-13_fold0.model.json").read_text())
+        if feature_config is None:
+            del doc["feature_config"]
+        else:
+            doc["feature_config"] = feature_config
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("predict", "--model", model, pipeline["corpus"] / "synth000.wav") == 1
+        err = capsys.readouterr().err
+        assert f"error: {model}: no usable feature_config" in err
+
     def test_missing_features_is_actionable(self, pipeline, tmp_path, capsys):
         rc = run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
                  "--features", tmp_path / "nothing", "--mfcc", "13",
                  "--epochs", 1, "--out", tmp_path / "r")
         assert rc == 1
         assert "convser extract" in capsys.readouterr().err
+
+
+def damage_model(run_dir, tmp_path, damage):
+    """A copy of the fold-0 model that is junk, cut in half, or has one
+    tensor whose shape and data disagree with its model_config."""
+    path = tmp_path / "M1-13_fold0.model.json"
+    text = (run_dir / path.name).read_text()
+    if damage == "junk":
+        path.write_bytes(b"\x00junk")
+    elif damage == "truncated":
+        path.write_text(text[: len(text) // 2])
+    else:
+        doc = json.loads(text)
+        doc["tensors"]["lstm_u"] = doc["tensors"]["lstm_w"]
+        path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("damage", ["junk", "truncated", "mis_shaped"])
+class TestCorruptModel:
+    """A damaged model file exits 1 with an error that names it."""
+
+    def test_predict(self, pipeline, run_dir, tmp_path, capsys, damage):
+        model = damage_model(run_dir, tmp_path, damage)
+        capsys.readouterr()
+        assert run("predict", "--model", model, pipeline["corpus"] / "synth000.wav") == 1
+        assert f"error: {model}: " in capsys.readouterr().err
+
+    def test_evaluate(self, pipeline, run_dir, tmp_path, capsys, damage):
+        model = damage_model(run_dir, tmp_path, damage)
+        capsys.readouterr()
+        assert run("evaluate", "--model", model,
+                   "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", pipeline["features"]) == 1
+        assert f"error: {model}: " in capsys.readouterr().err
 
 
 class TestGridAndReport:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from convser import dsp_features
 from convser.audio_io import AudioBuffer
 from convser.dsp_features import (
     FeatureConfig,
@@ -308,6 +309,37 @@ class TestExtractFeatures:
         tone.samples[-1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
             extract_features(tone, FeatureConfig.for_width(13, max_frames=3))
+
+    def test_cached_constants_are_read_only(self):
+        config = FeatureConfig.for_width(40)
+        key = (config.sample_rate, config.frame_len, config.n_mels, config.fmin, config.fmax)
+        constants = dsp_features._dsp_constants(*key)
+        assert dsp_features._dsp_constants(*key) is constants
+        for array in constants:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("width", [13, 40])
+    def test_matches_freshly_built_constants(self, width):
+        """extract_features with cached constants equals, bit for bit, the
+        same pipeline with the window, filterbank and DCT built afresh."""
+        tone = make_tone(523, duration_s=1.4)
+        config = FeatureConfig.for_width(width, max_frames=8)
+        frames = frame_signal(tone, config.frame_len, config.hop)
+        power = fft_power_spectrum(frames * hamming_window(config.frame_len))
+        log_e = log_mel_energies(power, mel_filterbank(config), config.log_floor)
+        if width == 40:
+            raw = log_e @ dct_matrix(config.n_mels)[:40].T
+        else:
+            cepstra = log_e @ dct_matrix(config.n_mels)[:13].T
+            raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
+        expected = np.zeros((8, width))
+        expected[: len(raw)] = normalize_centered(raw)
+        for _ in range(2):  # the first call may build the constants, the second reuses them
+            fm = extract_features(tone, config)
+            assert fm.n_valid_frames == len(raw)
+            assert np.array_equal(fm.values, expected)
 
     def test_truncation_to_max_frames(self):
         tone = make_tone(500, duration_s=2.0)

@@ -1,11 +1,13 @@
+import base64
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from convser.exceptions import ParameterError
+from convser.exceptions import FormatError, ParameterError
 from convser.neural_net import (
     GATE_ORDER,
     ModelConfig,
@@ -539,8 +541,9 @@ class TestSerialization:
         params = random_params(TINY, 21)
         path = tmp_path / "model.json"
         save_model(params, path, extra={"note": "test"})
-        back = load_model(path)
+        back, extra = load_model(path)
         assert back.config == params.config
+        assert extra == {"note": "test"}
         for name in params.TENSOR_NAMES:
             assert np.array_equal(getattr(back, name), getattr(params, name))
 
@@ -548,18 +551,39 @@ class TestSerialization:
         params = random_params(TINY, 22).astype(np.float32)
         path = tmp_path / "model32.json"
         save_model(params, path)
-        back = load_model(path)
+        back, extra = load_model(path)
         assert back.conv_w.dtype == np.float32
+        assert extra == {}
         for name in params.TENSOR_NAMES:
             assert np.array_equal(getattr(back, name), getattr(params, name))
 
+    @pytest.mark.parametrize("config", [TINY, M8_40], ids=["TINY", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_roundtrip_same_bits_and_dtype(self, tmp_path, config, dtype):
+        params = random_params(config, 23).astype(dtype)
+        path = tmp_path / "model.json"
+        save_model(params, path)
+        back, _ = load_model(path)
+        for name in params.TENSOR_NAMES:
+            saved, loaded = getattr(params, name), getattr(back, name)
+            assert loaded.dtype == np.dtype(dtype) and loaded.flags.writeable
+            assert np.array_equal(loaded, saved)
+
     def test_document_fields(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(init_params(TINY, 0), path)
-        doc = json.loads(path.read_text())
-        assert doc["format_version"] == 1
-        assert tuple(doc["gate_order"]) == GATE_ORDER
-        assert doc["tensors"]["lstm_w"]["shape"] == [12, 10]
+        for dtype in (np.float32, np.float64):
+            params = init_params(TINY, 0, dtype)
+            save_model(params, path)
+            doc = json.loads(path.read_text())
+            assert doc["format_version"] == 2
+            assert tuple(doc["gate_order"]) == GATE_ORDER
+            assert doc["dtype"] == np.dtype(dtype).name
+            assert doc["tensors"]["lstm_w"]["shape"] == [12, 10]
+            wire = np.dtype(dtype).newbyteorder("<")
+            for name, t in params.tensors().items():
+                data = base64.b64decode(doc["tensors"][name]["data"], validate=True)
+                assert len(data) == wire.itemsize * t.size
+                assert np.array_equal(np.frombuffer(data, dtype=wire), t.ravel())
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
@@ -567,5 +591,62 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParameterError, match="format_version"):
+        message = f"{re.escape(str(path))}: model format_version 99 is not 2"
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+
+    def test_v1_document_rejected(self, tmp_path):
+        """A model file as format 1 wrote it: float64 decimal lists."""
+        params = init_params(TINY, 0)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "gate_order": list(GATE_ORDER),
+            "model_config": {"filters": 2, "kernel_size": 3, "lstm_units": 3,
+                             "n_mfcc": 5, "max_frames": 6},
+            "dtype": "float64",
+            "tensors": {name: {"shape": list(t.shape), "data": t.ravel().tolist()}
+                        for name, t in params.tensors().items()},
+        }, sort_keys=True))
+        with pytest.raises(FormatError, match="format_version 1 .*re-run `convser train`"):
+            load_model(path)
+
+    @pytest.mark.parametrize("damage", [
+        "junk", "truncated", "not_object", "missing_tensor", "missing_config",
+        "bad_base64", "dtype", "model_config", "non_integer_config", "shape",
+        "byte_count", "gate_order",
+    ])
+    def test_damaged_file_is_format_error_naming_it(self, tmp_path, damage):
+        path = tmp_path / "model.json"
+        save_model(init_params(TINY, 0), path)
+        text = path.read_text()
+        doc = json.loads(text)
+        tensors = doc["tensors"]
+        if damage == "junk":
+            path.write_bytes(b"\x00\xff\x13\x37")
+        elif damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        else:
+            if damage == "not_object":
+                doc = [doc]
+            elif damage == "missing_tensor":
+                del tensors["lstm_u"]
+            elif damage == "missing_config":
+                del doc["model_config"]
+            elif damage == "bad_base64":
+                tensors["lstm_b"]["data"] = "not base64!"
+            elif damage == "dtype":
+                doc["dtype"] = "int32"
+            elif damage == "model_config":
+                doc["model_config"]["filters"] = 0
+            elif damage == "non_integer_config":
+                doc["model_config"]["filters"] = 2.0
+            elif damage == "shape":
+                tensors["lstm_w"]["shape"] = [10, 12]
+            elif damage == "byte_count":
+                tensors["dense_w"]["data"] = tensors["dense_b"]["data"]
+            elif damage == "gate_order":
+                doc["gate_order"] = list(reversed(GATE_ORDER))
+            path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(str(path))):
             load_model(path)
