@@ -9,6 +9,8 @@ short clips and few epochs so it finishes in about a minute; scale n/duration
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from convser.audio_io import load_wav
 from convser.augmentation import AugmentationPlan, augment_dataset
 from convser.dsp_features import FeatureConfig, extract_features
@@ -30,10 +32,8 @@ print(f"threshold-classifier floor on originals: {floor:.2f} (the model should b
 rows = []
 for width in (13, 40):
     config = FeatureConfig.for_width(width, max_frames=11)
-    features = {
-        rec.id: extract_features(load_wav(merged.resolve(rec)), config)
-        for rec in merged.records
-    }
+    features = np.stack([extract_features(load_wav(merged.resolve(rec)), config).values
+                         for rec in merged.records])
     model_config = ModelConfig(filters=16, kernel_size=5, lstm_units=20,
                                n_mfcc=width, max_frames=11)
     train_config = TrainConfig(epochs=40, seed=42, split_mode="paper")

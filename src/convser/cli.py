@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +38,30 @@ def _setup_logging():
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
+# the config class each --config section builds; its keys must be fields of it
+CONFIG_SECTIONS = {"synth": synth_data.SynthSpec, "plan": augmentation.AugmentationPlan,
+                   "feature": dsp_features.FeatureConfig, "train": TrainConfig,
+                   "model": ModelConfig}
+
+
 def _load_config_file(path):
     if not path:
         return {}
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParameterError(f"{path}: pipeline config must be a JSON object")
+    for section, body in doc.items():
+        if section not in CONFIG_SECTIONS:
+            raise ParameterError(f"{path}: unknown section {section!r}; "
+                                 f"expected one of {sorted(CONFIG_SECTIONS)}")
+        if not isinstance(body, dict):
+            raise ParameterError(f"{path}: section {section!r} must be a JSON object")
+        unknown = set(body) - {f.name for f in fields(CONFIG_SECTIONS[section])}
+        if unknown:
+            raise ParameterError(f"{path}: section {section!r} has unknown key {min(unknown)!r}")
     return doc
 
 
@@ -90,9 +108,19 @@ def _augmentation_plan(args, cfg):
 
 
 def _load_feature_store(features_root, n_mfcc, manifest):
-    """The stored FeatureConfig and {id: FeatureMatrix} for the manifest."""
+    """The stored FeatureConfig and the manifest's (records, frames, n_mfcc)
+    feature array, in manifest order."""
     store = dsp_features.load_features(features_root, n_mfcc)
-    return store.config, store.matrices(rec.id for rec in manifest.records)
+    return store.config, store.stack(rec.id for rec in manifest.records)
+
+
+def _model_feature_config(path, extra) -> dsp_features.FeatureConfig:
+    """The FeatureConfig recorded in the model file at path."""
+    try:
+        return dsp_features.FeatureConfig(**extra["feature_config"])
+    except (KeyError, TypeError, ParameterError) as exc:
+        raise FormatError(f"{path}: no usable feature_config section "
+                          f"({type(exc).__name__}: {exc})") from None
 
 
 # --- Subcommands ----------------------------------------------------------------
@@ -229,9 +257,7 @@ def cmd_grid(args) -> int:
     for width in GRID_WIDTHS:
         configs[width], features[width] = _load_feature_store(args.features, width, manifest)
     started = time.perf_counter()
-    results = train_eval.run_grid(
-        train_config, features[13], manifest, features[40], manifest, jobs=args.jobs or 1
-    )
+    results = train_eval.run_grid(train_config, features, manifest, jobs=args.jobs or 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for width in GRID_WIDTHS:
@@ -270,13 +296,21 @@ def cmd_grid(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, _ = load_model(args.model)
+    params, extra = load_model(args.model)
+    model_config = _model_feature_config(args.model, extra)
     manifest = load_manifest(args.manifest)
-    _, features = _load_feature_store(args.features, params.config.n_mfcc, manifest)
-    ids = [rec.id for rec in manifest.records]
-    x = train_eval._stack(features, ids, params.config, params.conv_w.dtype)
+    store_config, x = _load_feature_store(args.features, params.config.n_mfcc, manifest)
+    if store_config != model_config:
+        differ = [f"{name}: store {value!r}, model {getattr(model_config, name)!r}"
+                  for name, value in asdict(store_config).items()
+                  if value != getattr(model_config, name)]
+        raise FormatError(
+            f"feature store {dsp_features.store_path(args.features, store_config.n_mfcc)} does "
+            f"not match model {args.model} ({'; '.join(differ)}); re-run `convser extract` "
+            f"with the model's feature settings")
     labels = [rec.label for rec in manifest.records]
-    _, _, preds = train_eval.evaluate(params, x, np.array(labels), TrainConfig().batch_size)
+    _, _, preds = train_eval.evaluate(params, x.astype(params.conv_w.dtype), np.array(labels),
+                                      TrainConfig().batch_size)
     counts = train_eval.confusion(preds.tolist(), labels)
     m = train_eval.metrics(counts)
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
@@ -291,11 +325,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     params, extra = load_model(args.model)
-    try:
-        config = dsp_features.FeatureConfig(**extra["feature_config"])
-    except (KeyError, TypeError, ParameterError) as exc:
-        raise FormatError(f"{args.model}: no usable feature_config section "
-                          f"({type(exc).__name__}: {exc}); cannot extract features") from None
+    config = _model_feature_config(args.model, extra)
     for wav in args.wavs:
         buffer = load_wav(wav)
         if buffer.sample_rate != config.sample_rate:

@@ -198,15 +198,6 @@ def dct_matrix(n: int) -> np.ndarray:
     return d
 
 
-def dct_ii(values: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out coefficients of the orthonormal DCT-II of a vector."""
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[-1]
-    if n_out > n:
-        raise ParameterError(f"n_out = {n_out} exceeds input size {n}")
-    return values @ dct_matrix(n)[:n_out].T
-
-
 def frame_log_energy(frame: np.ndarray, log_floor: float = 1e-10) -> np.ndarray:
     """ln(sum of squared samples + log_floor), computed on the raw frame."""
     frame = np.asarray(frame, dtype=np.float64)
@@ -326,28 +317,28 @@ class FeatureStore:
     rows: dict = field(default_factory=dict)
     hashes: dict = field(default_factory=dict)
 
-    def matrices(self, ids) -> dict:
-        """{id: FeatureMatrix} for ids, zero-padded to config.max_frames."""
-        out = {}
-        for sample_id in ids:
+    def stack(self, ids) -> np.ndarray:
+        """(len(ids), config.max_frames, n_mfcc) float64 rows of ids, in order,
+        zero-padded past each id's valid frames."""
+        ids = list(ids)
+        out = np.zeros((len(ids), self.config.max_frames, self.config.n_mfcc))
+        for k, sample_id in enumerate(ids):
             if sample_id not in self.rows:
                 raise ParameterError(f"no {self.config.n_mfcc}-MFCC features for {sample_id!r}; "
                                      f"run `convser extract --mfcc {self.config.n_mfcc}` first")
             valid = self.rows[sample_id]
-            values = np.zeros((self.config.max_frames, self.config.n_mfcc))
-            values[: len(valid)] = valid
-            out[sample_id] = FeatureMatrix(values=values, n_valid_frames=len(valid))
+            out[k, : len(valid)] = valid
         return out
 
 
-def _store_path(root, n_mfcc: int) -> Path:
+def store_path(root, n_mfcc: int) -> Path:
     return Path(root) / f"mfcc{n_mfcc}.npz"
 
 
 def save_features(store: FeatureStore, root) -> None:
     """Write the store through a temporary file, so an interrupted run never
     leaves a truncated one."""
-    path = _store_path(root, store.config.n_mfcc)
+    path = store_path(root, store.config.n_mfcc)
     path.parent.mkdir(parents=True, exist_ok=True)
     ids = sorted(store.rows)
     rows = [store.rows[i] for i in ids] or [np.zeros((0, store.config.n_mfcc))]
@@ -367,7 +358,7 @@ def save_features(store: FeatureStore, root) -> None:
 
 
 def load_features(root, n_mfcc: int) -> FeatureStore:
-    path = _store_path(root, n_mfcc)
+    path = store_path(root, n_mfcc)
     if not path.is_file():
         raise ParameterError(f"no feature store at {path}; "
                              f"run `convser extract --mfcc {n_mfcc}` first")
@@ -387,7 +378,7 @@ def cached_features_fresh(root, config: FeatureConfig, content_hashes: dict):
     """(store, fresh ids) for config's width under root. The store is the one
     on disk when config made it, else a new empty one; the fresh ids are those
     in content_hashes whose stored rows came from the same content."""
-    path = _store_path(root, config.n_mfcc)
+    path = store_path(root, config.n_mfcc)
     store = load_features(root, config.n_mfcc) if path.is_file() else None
     if store is None or config_hash(store.config) != config_hash(config):
         return FeatureStore(config), set()

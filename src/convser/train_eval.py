@@ -319,27 +319,6 @@ class GridFailure:
     error: str
 
 
-def _stack(features: dict, ids, model_config: ModelConfig, dtype):
-    mats = []
-    for sample_id in ids:
-        try:
-            fm = features[sample_id]
-        except KeyError:
-            raise ParameterError(f"no extracted features for record {sample_id!r}") from None
-        if fm.values.shape[1] != model_config.n_mfcc:
-            raise ParameterError(
-                f"feature width {fm.values.shape[1]} of {sample_id!r} != model n_mfcc "
-                f"{model_config.n_mfcc}"
-            )
-        if fm.values.shape[0] != model_config.max_frames:
-            raise ParameterError(
-                f"{sample_id!r} has {fm.values.shape[0]} frames, model expects "
-                f"{model_config.max_frames}"
-            )
-        mats.append(fm.values)
-    return np.stack(mats).astype(dtype)
-
-
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int):
     """Score (B, T, n_mfcc) inputs against labels y in batches of batch_size.
 
@@ -358,9 +337,10 @@ def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int)
 
 
 def train_model(model_config: ModelConfig, train_config: TrainConfig,
-                features: dict, manifest: DatasetManifest) -> TrainResult:
-    """One full training run: split, minibatch ADAM for the configured number
-    of epochs, per-epoch loss/accuracy curves, final validation metrics.
+                features: np.ndarray, manifest: DatasetManifest) -> TrainResult:
+    """One full training run on features, one (max_frames, n_mfcc) matrix per
+    manifest record in manifest order: split, minibatch ADAM for the configured
+    number of epochs, per-epoch loss/accuracy curves, final validation metrics.
 
     history arrays have epochs+1 entries; index 0 is evaluated before any
     update, index e after epoch e. Training loss/accuracy for e >= 1 are the
@@ -371,6 +351,10 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
         raise ParameterError(
             f"training needs both labels, manifest has {label_counts[1]}x1 / {label_counts[0]}x0"
         )
+    expected = (len(manifest), model_config.max_frames, model_config.n_mfcc)
+    if features.shape != expected:
+        raise ParameterError(f"feature array of shape {features.shape} != (records, frames, "
+                             f"width) {expected} of the manifest and model")
     start_time = time.perf_counter()
     dtype = np.dtype(train_config.dtype)
     seed = train_config.seed
@@ -378,11 +362,11 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     train_ids, val_ids = split_dataset(
         manifest, train_config.split_ratio, train_config.split_mode, seed
     )
-    labels = {rec.id: rec.label for rec in manifest.records}
-    x_train = _stack(features, train_ids, model_config, dtype)
-    y_train = np.array([labels[i] for i in train_ids], dtype=dtype)
-    x_val = _stack(features, val_ids, model_config, dtype)
-    y_val = np.array([labels[i] for i in val_ids], dtype=dtype)
+    row = {rec.id: k for k, rec in enumerate(manifest.records)}
+    labels = np.array([rec.label for rec in manifest.records], dtype=dtype)
+    train_rows, val_rows = [row[i] for i in train_ids], [row[i] for i in val_ids]
+    x_train, y_train = features[train_rows].astype(dtype), labels[train_rows]
+    x_val, y_val = features[val_rows].astype(dtype), labels[val_rows]
 
     params = init_params(model_config, derive_seed(seed, "init"), dtype)
     # views into params: adam_step updates them in place
@@ -462,7 +446,7 @@ def grid_model_id(model_config: ModelConfig) -> str:
 
 
 def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
-                   features: dict, manifest: DatasetManifest) -> RunReport:
+                   features: np.ndarray, manifest: DatasetManifest) -> RunReport:
     """Three (or n_shuffles) independent reshuffle-and-train runs with seeds
     seed+0 .. seed+n-1; metrics averaged arithmetically across folds."""
     start_time = time.perf_counter()
@@ -528,23 +512,16 @@ def _run_cell(task):
         )
 
 
-def run_grid(train_config: TrainConfig, features13: dict, manifest13: DatasetManifest,
-             features40: dict, manifest40: DatasetManifest, jobs: int = 1):
-    """Train all 16 grid cells (8 per MFCC width, 3 folds each = 48 runs).
-
-    Returns {13: [RunReport | GridFailure x8], 40: [... x8]} in M1..M8 order.
-    Cells are independent; jobs > 1 runs them in worker processes with a
-    deterministic, order-preserving reduce.
-    """
-    tasks = []
-    for width, features, manifest in zip(GRID_WIDTHS, (features13, features40),
-                                         (manifest13, manifest40)):
-        if not features:
-            raise ParameterError(f"no features provided for the {width}-MFCC track")
-        max_frames = next(iter(features.values())).values.shape[0]
-        for model_config in grid_configs(width, max_frames):
-            tasks.append((model_config, train_config, features, manifest))
-
+def run_grid(train_config: TrainConfig, features: dict, manifest: DatasetManifest,
+             jobs: int = 1):
+    """Train all 16 grid cells (8 per MFCC width, 3 folds each = 48 runs) on
+    features {13: array, 40: array}, each (records, frames, width) in manifest
+    order. Returns {13: [RunReport | GridFailure x8], 40: [... x8]} in M1..M8
+    order; jobs > 1 runs the independent cells in worker processes with a
+    deterministic, order-preserving reduce."""
+    tasks = [(model_config, train_config, features[width], manifest)
+             for width in GRID_WIDTHS
+             for model_config in grid_configs(width, features[width].shape[1])]
     results = map_tasks(_run_cell, tasks, jobs)
     cells = len(tasks) // len(GRID_WIDTHS)
     return {width: results[k * cells : (k + 1) * cells] for k, width in enumerate(GRID_WIDTHS)}

@@ -36,10 +36,8 @@ def naive_dft_power(frame):
 
 
 def extract_all(manifest, config):
-    return {
-        rec.id: extract_features(load_wav(manifest.resolve(rec)), config)
-        for rec in manifest.records
-    }
+    return np.stack([extract_features(load_wav(manifest.resolve(rec)), config).values
+                     for rec in manifest.records])
 
 
 def test_c1_dsp_oracle_equivalence():

@@ -55,6 +55,30 @@ class TestSynth:
         assert excinfo.value.code == 2
 
 
+class TestConfigFile:
+    def test_sections_build_their_dataclasses(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_originals": 2, "duration_s": 0.4},
+                                    "train": {"epochs": 1}, "feature": {"n_mfcc": 13}}))
+        assert run("synth", "--config", path, "--out", tmp_path / "c") == 0
+        assert "wrote 2 files" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "not valid JSON"),
+        ('["synth"]', "pipeline config must be a JSON object"),
+        ('{"synth": 3}', "section 'synth' must be a JSON object"),
+        ('{"synthesis": {}}', "unknown section 'synthesis'"),
+        ('{"synth": {"nn": 3}}', "section 'synth' has unknown key 'nn'"),
+        ('{"train": {"n_originals": 3}}', "section 'train' has unknown key 'n_originals'"),
+    ])
+    def test_bad_file_exits_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert run("synth", "--config", path, "--out", tmp_path / "c") == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+
 class TestAugment:
     def test_prints_counts(self, pipeline, capsys):
         capsys.readouterr()
@@ -263,12 +287,30 @@ class TestTrainPredictEvaluate:
         assert sum(n for _, n in batches) == 48
 
         records = load_manifest(manifest_path).records
-        stored = load_features(pipeline["features"], 13).matrices(rec.id for rec in records)
-        x = np.stack([fm.values for fm in stored.values()]).astype(np.float32)
+        x = load_features(pipeline["features"], 13).stack(rec.id for rec in records)
+        x = x.astype(np.float32)
         y = np.array([rec.label for rec in records])
         _, _, preds = train_eval.evaluate(params, x, y, 16)
         counts = train_eval.confusion(preds.tolist(), y.tolist())
         assert f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}" in printed
+
+    @pytest.mark.parametrize("flags, differ", [
+        (("--max-frames", 3), "max_frames: store 3, model 6"),
+        (("--max-frames", 6, "--n-mels", 48), "n_mels: store 48, model 64"),
+    ])
+    def test_evaluate_rejects_a_store_of_other_settings(self, pipeline, run_dir, tmp_path,
+                                                         capsys, flags, differ):
+        manifest_path = pipeline["augmented"] / "manifest.jsonl"
+        features = tmp_path / "features"
+        assert run("extract", "--manifest", manifest_path, "--mfcc", "13", *flags,
+                   "--out", features) == 0
+        model = run_dir / "M1-13_fold0.model.json"
+        capsys.readouterr()
+        assert run("evaluate", "--model", model, "--manifest", manifest_path,
+                   "--features", features) == 1
+        err = capsys.readouterr().err
+        assert f"feature store {features / 'mfcc13.npz'} does not match model {model}" in err
+        assert differ in err and "re-run `convser extract`" in err
 
     def test_predict_reads_the_model_file_once(self, pipeline, run_dir, capsys, monkeypatch):
         model = run_dir / "M1-13_fold0.model.json"

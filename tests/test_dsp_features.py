@@ -8,7 +8,6 @@ from convser.dsp_features import (
     FeatureStore,
     cached_features_fresh,
     config_hash,
-    dct_ii,
     dct_matrix,
     delta,
     extract_features,
@@ -171,7 +170,7 @@ class TestLogMelEnergies:
 class TestDct:
     def test_constant_input(self):
         n = 16
-        coeffs = dct_ii(np.full(n, 3.0), n)
+        coeffs = np.full(n, 3.0) @ dct_matrix(n).T
         assert coeffs[0] == pytest.approx(3.0 * np.sqrt(n), abs=1e-12)
         assert np.abs(coeffs[1:]).max() <= 1e-12
 
@@ -181,11 +180,12 @@ class TestDct:
         assert np.abs(d @ d.T - np.eye(n)).max() <= 1e-9
 
     def test_zero_input(self):
-        assert np.all(dct_ii(np.zeros(8), 4) == 0.0)
+        assert np.all(np.zeros(8) @ dct_matrix(8)[:4].T == 0.0)
 
     def test_n_out_too_large(self):
-        with pytest.raises(ParameterError):
-            dct_ii(np.zeros(8), 9)
+        # the pipeline reads n_mfcc DCT coefficients of n_mels Mel energies
+        with pytest.raises(ParameterError, match="n_mels = 39 too small"):
+            FeatureConfig.for_width(40, n_mels=39)
 
 
 class TestFrameLogEnergy:
@@ -369,12 +369,14 @@ class TestFeatureStore:
         back = load_features(tmp_path, 13)
         assert back.config == config
         assert back.hashes == {i: f"hash-{i}" for i in ids}
-        matrices = back.matrices(ids)
-        assert sorted({fm.n_valid_frames for fm in matrices.values()}) == [2, 5, 6]
-        for sample_id, fm in matrices.items():
-            assert fm.n_valid_frames == expected[sample_id].n_valid_frames
-            assert fm.values.dtype == expected[sample_id].values.dtype
-            assert np.array_equal(fm.values, expected[sample_id].values)
+        assert sorted(fm.n_valid_frames for fm in expected.values()) == [2, 5, 6]
+        order = ["b", "c", "a"]  # rows come in the caller's order, not the stored one
+        stacked = back.stack(order)
+        assert stacked.shape == (3, 6, 13)
+        for k, sample_id in enumerate(order):
+            assert stacked.dtype == expected[sample_id].values.dtype
+            assert np.array_equal(stacked[k], expected[sample_id].values)
+            assert len(back.rows[sample_id]) == expected[sample_id].n_valid_frames
 
     def test_fresh_by_content_hash_and_by_config_hash(self, tmp_path):
         config = FeatureConfig.for_width(13, max_frames=6)
@@ -395,7 +397,7 @@ class TestFeatureStore:
             load_features(tmp_path, 40)
         self.stored(tmp_path, FeatureConfig.for_width(40, max_frames=6))
         with pytest.raises(ParameterError, match="'zz'.*convser extract --mfcc 40"):
-            load_features(tmp_path, 40).matrices(["a", "zz"])
+            load_features(tmp_path, 40).stack(["a", "zz"])
 
     def test_config_hash_stable_and_sensitive(self):
         a = FeatureConfig.for_width(13)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from convser.audio_io import DatasetManifest, SampleRecord
-from convser.dsp_features import FeatureMatrix
 from convser.exceptions import ConvserError, ParameterError
 from convser.neural_net import ModelConfig, ModelParams, init_params
 from convser.report import (
@@ -54,17 +53,15 @@ def toy_manifest(n, group_size=1, prefix="rec"):
 
 def toy_features(manifest, t=6, width=5, separation=0.5, noise=0.05, seed=0,
                  max_frames=None):
-    """Linearly separable features: class mean +-separation on coefficient 0."""
+    """Linearly separable (records, max_frames, width) features in manifest
+    order: class mean +-separation on coefficient 0, zero rows past t."""
     rng = np.random.default_rng(seed)
-    max_frames = max_frames or t
-    store = {}
-    for rec in manifest.records:
-        values = np.zeros((max_frames, width))
+    values = np.zeros((len(manifest), max_frames or t, width))
+    for k, rec in enumerate(manifest.records):
         base = rng.normal(0.0, noise, (t, width))
         base[:, 0] += separation if rec.label == 1 else -separation
-        values[:t] = np.clip(base, -1, 1)
-        store[rec.id] = FeatureMatrix(values=values, n_valid_frames=t)
-    return store
+        values[k, :t] = np.clip(base, -1, 1)
+    return values
 
 
 class TestAdam:
@@ -290,9 +287,10 @@ class TestTrainModel:
         assert n_val != len(result.train_ids)
         assert scored_rows.count(n_val) == val_scorings
 
-        labels = {rec.id: rec.label for rec in manifest.records}
-        x_val = np.stack([features[i].values for i in result.val_ids])
-        y_val = np.array([labels[i] for i in result.val_ids])
+        row = {rec.id: k for k, rec in enumerate(manifest.records)}
+        val_rows = [row[i] for i in result.val_ids]
+        x_val = features[val_rows]
+        y_val = np.array([manifest.records[k].label for k in val_rows])
         _, _, preds = real_evaluate(result.params, x_val, y_val, config.batch_size)
         assert result.counts == confusion(preds.tolist(), y_val.tolist())
 
@@ -312,9 +310,8 @@ class TestTrainModel:
 
     def test_missing_features_rejected(self):
         manifest = toy_manifest(10)
-        features = toy_features(manifest)
-        features.pop("rec003")
-        with pytest.raises(ParameterError, match="rec003"):
+        features = np.delete(toy_features(manifest), 3, axis=0)
+        with pytest.raises(ParameterError, match=r"\(9, 6, 5\).*\(10, 6, 5\)"):
             train_model(self.model_config(), self.small_config(), features, manifest)
 
 
@@ -403,7 +400,7 @@ class TestDivergenceGuard:
         f13 = toy_features(manifest, t=4, width=13, seed=1)
         f40 = toy_features(manifest, t=4, width=40, seed=2)
         self.nan_backward(monkeypatch, from_call=1)
-        results = run_grid(TrainConfig(epochs=1, seed=5, n_shuffles=2), f13, manifest, f40,
+        results = run_grid(TrainConfig(epochs=1, seed=5, n_shuffles=2), {13: f13, 40: f40},
                            manifest)
         for width in (13, 40):
             assert len(results[width]) == 8
@@ -440,14 +437,13 @@ class TestCrossValidate:
 class TestGrid:
     def grid_inputs(self, n=12, t=4):
         manifest = toy_manifest(n)
-        features13 = toy_features(manifest, t=t, width=13, seed=1)
-        features40 = toy_features(manifest, t=t, width=40, seed=2)
-        return manifest, features13, features40
+        return manifest, {13: toy_features(manifest, t=t, width=13, seed=1),
+                          40: toy_features(manifest, t=t, width=40, seed=2)}
 
     def test_grid_shape_and_order(self):
-        manifest, f13, f40 = self.grid_inputs()
+        manifest, features = self.grid_inputs()
         config = TrainConfig(epochs=1, seed=5, n_shuffles=3)
-        results = run_grid(config, f13, manifest, f40, manifest)
+        results = run_grid(config, features, manifest)
         for width in (13, 40):
             assert len(results[width]) == 8
             assert [r.model_id for r in results[width]] == [
@@ -461,15 +457,32 @@ class TestGrid:
         assert total_runs == 48
 
     def test_failed_cell_recorded(self, tmp_path):
-        manifest, f13, f40 = self.grid_inputs()
-        f40.pop("rec000")  # every 40-wide cell now fails
+        manifest, features = self.grid_inputs()
+        features[40] = features[40][1:]  # one row short: every 40-wide cell fails
         config = TrainConfig(epochs=1, seed=5, n_shuffles=2)
-        results = run_grid(config, f13, manifest, f40, manifest)
+        results = run_grid(config, features, manifest)
         assert all(isinstance(r, GridFailure) for r in results[40])
         assert all(not isinstance(r, GridFailure) for r in results[13])
         write_results_csv(results[40], tmp_path / "results_40.csv")
         rows = read_results_csv(tmp_path / "results_40.csv")
         assert rows[0]["Ø Accuracy"] == "failed"
+        assert all("(11, 4, 40)" in r.error and "(12, 4, 40)" in r.error for r in results[40])
+
+    def test_jobs_do_not_change_results(self):
+        manifest, features = self.grid_inputs()
+        config = TrainConfig(epochs=2, seed=5, n_shuffles=2)
+        serial = run_grid(config, features, manifest, jobs=1)
+        pooled = run_grid(config, features, manifest, jobs=2)
+        for width in (13, 40):
+            for a, b in zip(serial[width], pooled[width], strict=True):
+                assert a.model_id == b.model_id
+                assert a.fold_seeds == b.fold_seeds
+                assert a.fold_counts == b.fold_counts
+                assert a.histories == b.histories
+                assert a.averaged == b.averaged
+                for fa, fb in zip(a.folds, b.folds, strict=True):
+                    for name in ModelParams.TENSOR_NAMES:
+                        assert np.array_equal(getattr(fa.params, name), getattr(fb.params, name))
 
     def test_model_id_for_custom_config(self):
         config = ModelConfig(filters=8, kernel_size=5, lstm_units=20, n_mfcc=13, max_frames=4)
@@ -478,10 +491,9 @@ class TestGrid:
 
 class TestResultsCsv:
     def test_schema_and_roundtrip(self, tmp_path):
-        manifest, f13, _ = TestGrid().grid_inputs()
+        manifest, features = TestGrid().grid_inputs()
         config = TrainConfig(epochs=1, seed=5, n_shuffles=2)
-        results = run_grid(config, f13, manifest, toy_features(manifest, t=4, width=40),
-                           manifest)
+        results = run_grid(config, features, manifest)
         path = tmp_path / "results_13.csv"
         write_results_csv(results[13], path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
