@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import augmentation, dsp_features, report, synth_data, train_eval
-from .audio_io import load_manifest, load_wav, resample_linear, save_manifest
+from .audio_io import load_manifest, load_wav, save_manifest
 from .exceptions import ConvserError, FormatError, ParameterError
 from .neural_net import GRID_WIDTHS, ModelConfig, load_model, model_forward, save_model
 from .train_eval import TrainConfig
@@ -44,6 +44,31 @@ CONFIG_SECTIONS = {"synth": synth_data.SynthSpec, "plan": augmentation.Augmentat
                    "model": ModelConfig}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# (type of a field's default, test of a JSON value for that field, what it takes);
+# bool comes before int because a bool is an int
+CONFIG_VALUE_RULES = (
+    (bool, lambda v: isinstance(v, bool), "a boolean"),
+    (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    (float, _is_number, "a number"),
+    (str, lambda v: isinstance(v, str), "a string"),
+    (tuple, lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    (type(None), lambda v: v is None or _is_number(v), "null or a number"),
+)
+
+
+def _config_value_error(f, value):
+    """Why a JSON value cannot set dataclass field f, or None when it can."""
+    for kind, accepts, expected in CONFIG_VALUE_RULES:
+        if isinstance(f.default, kind):
+            return None if accepts(value) else f"must be {expected}, got {value!r}"
+    # no plain default: a nested dataclass built by its default_factory
+    return "is a nested setting that --config cannot set"
+
+
 def _load_config_file(path):
     if not path:
         return {}
@@ -59,9 +84,14 @@ def _load_config_file(path):
                                  f"expected one of {sorted(CONFIG_SECTIONS)}")
         if not isinstance(body, dict):
             raise ParameterError(f"{path}: section {section!r} must be a JSON object")
-        unknown = set(body) - {f.name for f in fields(CONFIG_SECTIONS[section])}
+        known = {f.name: f for f in fields(CONFIG_SECTIONS[section])}
+        unknown = set(body) - set(known)
         if unknown:
             raise ParameterError(f"{path}: section {section!r} has unknown key {min(unknown)!r}")
+        for key, value in body.items():
+            error = _config_value_error(known[key], value)
+            if error:
+                raise ParameterError(f"{path}: section {section!r} key {key!r} {error}")
     return doc
 
 
@@ -80,8 +110,7 @@ def _feature_config(args, cfg, n_mfcc):
 
 def _train_config(args, cfg):
     kwargs = dict(cfg.get("train", {}))
-    for flag in ("epochs", "batch_size", "learning_rate", "split_mode", "n_shuffles",
-                 "model_selection", "split_ratio", "dtype"):
+    for flag in ("epochs", "batch_size", "learning_rate", "split_mode", "n_shuffles", "dtype"):
         value = getattr(args, flag, None)
         if value is not None:
             kwargs[flag] = value
@@ -160,10 +189,7 @@ def _extract_one(task):
     """One record's valid feature rows, or the message of its failure."""
     wav_path, config = task
     try:
-        buffer = load_wav(wav_path)
-        if buffer.sample_rate != config.sample_rate:
-            buffer = resample_linear(buffer, config.sample_rate)
-        fm = dsp_features.extract_features(buffer, config)
+        fm = dsp_features.extract_features(load_wav(wav_path), config)
     except Exception as exc:  # a failed record is reported, not silently skipped
         return f"{type(exc).__name__}: {exc}"
     return fm.values[: fm.n_valid_frames].copy()
@@ -327,10 +353,7 @@ def cmd_predict(args) -> int:
     params, extra = load_model(args.model)
     config = _model_feature_config(args.model, extra)
     for wav in args.wavs:
-        buffer = load_wav(wav)
-        if buffer.sample_rate != config.sample_rate:
-            buffer = resample_linear(buffer, config.sample_rate)
-        fm = dsp_features.extract_features(buffer, config)
+        fm = dsp_features.extract_features(load_wav(wav), config)
         (prob,), _ = model_forward(fm.values[None].astype(params.conv_w.dtype), params)
         print(f"{wav}\t{prob:.4f}\t{int(prob >= 0.5)}")
     return 0
@@ -390,10 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_common.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
     train_common.add_argument("--split-mode", dest="split_mode",
                               choices=train_eval.SPLIT_MODES, default=None)
-    train_common.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
     train_common.add_argument("--shuffles", dest="n_shuffles", type=int, default=None)
-    train_common.add_argument("--model-selection", dest="model_selection",
-                              choices=train_eval.MODEL_SELECTIONS, default=None)
     train_common.add_argument("--dtype", choices=("float32", "float64"), default=None)
 
     p = sub.add_parser("train", parents=[train_common],

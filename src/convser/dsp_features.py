@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, resample_linear
 from .exceptions import FormatError, ParameterError
 
 FEATURE_MODES = ("classic13", "static40", "delta39e")
@@ -262,14 +262,12 @@ def _dsp_constants(sample_rate, frame_len, n_mels, fmin, fmax):
 def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatrix:
     """Run the full per-utterance feature pipeline.
 
-    The buffer must already be at config.sample_rate (resample first). Output
-    is a max_frames x n_mfcc matrix normalized into [-1, 1]; rows past the
-    valid frame count are zero.
+    A buffer at another rate is first resampled linearly to
+    config.sample_rate. Output is a max_frames x n_mfcc matrix normalized into
+    [-1, 1]; rows past the valid frame count are zero.
     """
     if buffer.sample_rate != config.sample_rate:
-        raise ParameterError(
-            f"buffer rate {buffer.sample_rate} != config rate {config.sample_rate}; resample first"
-        )
+        buffer = resample_linear(buffer, config.sample_rate)
     if not np.isfinite(buffer.samples).all():
         raise ParameterError("buffer holds non-finite (NaN or infinite) samples")
     frames = frame_signal(buffer, config.frame_len, config.hop)

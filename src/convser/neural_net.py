@@ -103,9 +103,6 @@ class ModelParams:
     def n_params(self) -> int:
         return sum(t.size for t in self.tensors().values())
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.config, *(getattr(self, n).copy() for n in self.TENSOR_NAMES))
-
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(
             self.config, *(getattr(self, n).astype(dtype) for n in self.TENSOR_NAMES)

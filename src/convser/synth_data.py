@@ -21,7 +21,6 @@ from .audio_io import (
     DatasetManifest,
     SampleRecord,
     load_wav,
-    resample_linear,
     save_manifest,
     write_wav,
 )
@@ -147,10 +146,7 @@ def _mean_coefficient_matrix(manifest: DatasetManifest, config: FeatureConfig):
     rows = []
     labels = []
     for rec in manifest.records:
-        buffer = load_wav(manifest.resolve(rec))
-        if buffer.sample_rate != config.sample_rate:
-            buffer = resample_linear(buffer, config.sample_rate)
-        fm = extract_features(buffer, config)
+        fm = extract_features(load_wav(manifest.resolve(rec)), config)
         rows.append(fm.values[: fm.n_valid_frames].mean(axis=0))
         labels.append(rec.label)
     return np.array(rows), np.array(labels)

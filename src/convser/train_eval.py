@@ -32,7 +32,12 @@ from .neural_net import (
 from .seeding import derive_seed, rng_for
 
 SPLIT_MODES = ("paper", "grouped")
-MODEL_SELECTIONS = ("final_epoch", "best_val")
+# The share of records each shuffle trains on; the rest validate.
+SPLIT_RATIO = 0.7
+# ADAM's moment decay rates and denominator floor, the defaults of Kingma & Ba.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 # Each batch gradient is rescaled to this global L2 norm when it is larger: a
 # guard against the exploding-gradient cliffs of backpropagation through time,
 # which ADAM's momentum turns into loss spikes.
@@ -48,27 +53,16 @@ class TrainConfig:
     epochs: int = 250
     batch_size: int = 16
     learning_rate: float = 0.001
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    split_ratio: float = 0.7
     n_shuffles: int = 3
     split_mode: str = "paper"
     seed: int = 0
-    model_selection: str = "final_epoch"
     dtype: str = "float32"
 
     def __post_init__(self):
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ParameterError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_shuffles < 1:
             raise ParameterError("epochs, batch_size, and n_shuffles must be >= 1")
         if self.split_mode not in SPLIT_MODES:
             raise ParameterError(f"split_mode {self.split_mode!r} not in {SPLIT_MODES}")
-        if self.model_selection not in MODEL_SELECTIONS:
-            raise ParameterError(
-                f"model_selection {self.model_selection!r} not in {MODEL_SELECTIONS}"
-            )
         if self.dtype not in ("float32", "float64"):
             raise ParameterError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -116,11 +110,11 @@ class AdamState:
         )
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
+def adam_step(params: dict, grads: dict, state: AdamState, learning_rate: float):
     """One ADAM update of the named tensors in params, in place: moment
     updates, bias correction, then
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps). Returns (params, state)."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     state.t += 1
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
@@ -132,7 +126,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        theta -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        theta -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
     return params, state
 
 
@@ -279,7 +273,6 @@ class TrainResult:
     train_ids: list
     val_ids: list
     seed: int
-    selected_epoch: int
     wall_time_s: float
 
 
@@ -340,7 +333,8 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
                 features: np.ndarray, manifest: DatasetManifest) -> TrainResult:
     """One full training run on features, one (max_frames, n_mfcc) matrix per
     manifest record in manifest order: split, minibatch ADAM for the configured
-    number of epochs, per-epoch loss/accuracy curves, final validation metrics.
+    number of epochs, per-epoch loss/accuracy curves, and the validation
+    metrics of the weights left after the last epoch.
 
     history arrays have epochs+1 entries; index 0 is evaluated before any
     update, index e after epoch e. Training loss/accuracy for e >= 1 are the
@@ -359,9 +353,7 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     dtype = np.dtype(train_config.dtype)
     seed = train_config.seed
 
-    train_ids, val_ids = split_dataset(
-        manifest, train_config.split_ratio, train_config.split_mode, seed
-    )
+    train_ids, val_ids = split_dataset(manifest, SPLIT_RATIO, train_config.split_mode, seed)
     row = {rec.id: k for k, rec in enumerate(manifest.records)}
     labels = np.array([rec.label for rec in manifest.records], dtype=dtype)
     train_rows, val_rows = [row[i] for i in train_ids], [row[i] for i in val_ids]
@@ -381,7 +373,6 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     history["val_loss"].append(vloss0)
     history["val_accuracy"].append(vacc0)
 
-    best = (vacc0, 0, params.copy() if train_config.model_selection == "best_val" else None)
     n_train = len(x_train)
     for epoch in range(1, train_config.epochs + 1):
         order = rng_for(seed, "epoch", epoch).permutation(n_train)
@@ -400,21 +391,14 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
                 raise ConvserError(f"training diverged at fold seed {seed}, epoch {epoch}, "
                                    f"batch {batch_no}: loss {batch_loss}, gradient norm {norm}")
             adam_step(trained, {name: grads[name] for name in TRAINED_TENSORS}, state,
-                      train_config)
+                      train_config.learning_rate)
         val_loss, val_acc, val_preds = evaluate(params, x_val, y_val, train_config.batch_size)
         history["train_loss"].append(loss_sum / n_train)
         history["train_accuracy"].append(correct / n_train)
         history["val_loss"].append(val_loss)
         history["val_accuracy"].append(val_acc)
-        if train_config.model_selection == "best_val" and val_acc > best[0]:
-            best = (val_acc, epoch, params.copy())
 
-    # final_epoch keeps the last epoch's weights, so its validation predictions
-    # are already scored; best_val re-scores the copy it selected
-    selected_epoch = train_config.epochs
-    if train_config.model_selection == "best_val":
-        params, selected_epoch = best[2], best[1]
-        _, _, val_preds = evaluate(params, x_val, y_val, train_config.batch_size)
+    # the last epoch's validation predictions are those of the returned weights
     counts = confusion(val_preds.tolist(), [int(v) for v in y_val])
     report = metrics(counts)
     return TrainResult(
@@ -425,7 +409,6 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
         train_ids=train_ids,
         val_ids=val_ids,
         seed=seed,
-        selected_epoch=selected_epoch,
         wall_time_s=time.perf_counter() - start_time,
     )
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from convser import cli, neural_net, train_eval
-from convser.audio_io import load_manifest
+from convser.audio_io import load_manifest, load_wav
 from convser.cli import main
-from convser.dsp_features import load_features
+from convser.dsp_features import extract_features, load_features
 
 from conftest import wav_bytes
 
@@ -59,7 +59,9 @@ class TestConfigFile:
     def test_sections_build_their_dataclasses(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"synth": {"n_originals": 2, "duration_s": 0.4},
-                                    "train": {"epochs": 1}, "feature": {"n_mfcc": 13}}))
+                                    "train": {"epochs": 1, "learning_rate": 1},
+                                    "feature": {"n_mfcc": 13, "fmax": None},
+                                    "plan": {"time_stretch_rates": [0.9, 1], "combined": False}}))
         assert run("synth", "--config", path, "--out", tmp_path / "c") == 0
         assert "wrote 2 files" in capsys.readouterr().out
 
@@ -70,6 +72,23 @@ class TestConfigFile:
         ('{"synthesis": {}}', "unknown section 'synthesis'"),
         ('{"synth": {"nn": 3}}', "section 'synth' has unknown key 'nn'"),
         ('{"train": {"n_originals": 3}}', "section 'train' has unknown key 'n_originals'"),
+        ('{"train": {"model_selection": "best_val"}}',
+         "section 'train' has unknown key 'model_selection'"),
+        ('{"train": {"adam_beta1": 0.9}}', "section 'train' has unknown key 'adam_beta1'"),
+        ('{"train": {"epochs": "3"}}', "section 'train' key 'epochs' must be an integer"),
+        ('{"train": {"epochs": true}}', "section 'train' key 'epochs' must be an integer"),
+        ('{"train": {"learning_rate": "0.1"}}',
+         "section 'train' key 'learning_rate' must be a number"),
+        ('{"train": {"dtype": 32}}', "section 'train' key 'dtype' must be a string"),
+        ('{"synth": {"n_originals": "4"}}', "section 'synth' key 'n_originals' must be an integer"),
+        ('{"synth": {"class0_signature": {"am_rate_hz": 5.0}}}',
+         "section 'synth' key 'class0_signature' is a nested setting that --config cannot set"),
+        ('{"synth": {"jitter": null}}',
+         "section 'synth' key 'jitter' is a nested setting that --config cannot set"),
+        ('{"plan": {"combined": 1}}', "section 'plan' key 'combined' must be a boolean"),
+        ('{"plan": {"noise_snrs_db": [20, "10"]}}',
+         "section 'plan' key 'noise_snrs_db' must be a list of numbers"),
+        ('{"feature": {"fmax": "8000"}}', "section 'feature' key 'fmax' must be null or a number"),
     ])
     def test_bad_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
@@ -144,6 +163,20 @@ class TestExtract:
                    "--max-frames", 3, "--out", tmp_path / "f") == 1
         err = capsys.readouterr().err
         assert "synth001" in err
+
+    def test_other_sample_rate_is_resampled(self, tmp_path):
+        corpus = tmp_path / "c"
+        assert run("synth", "--n", 2, "--duration", 0.5, "--seed", 3, "--out", corpus) == 0
+        t = np.arange(22050) / 22050
+        samples = (8000 * np.sin(2 * np.pi * 300 * t)).astype("<i2")
+        wav = corpus / "synth001.wav"
+        wav.write_bytes(wav_bytes(1, 1, 22050, 16, samples.tobytes()))
+        assert run("extract", "--manifest", corpus / "manifest.jsonl", "--mfcc", "13",
+                   "--max-frames", 3, "--out", tmp_path / "f") == 0
+        store = load_features(tmp_path / "f", 13)
+        fm = extract_features(load_wav(wav), store.config)
+        assert fm.n_valid_frames == 3
+        assert np.array_equal(store.rows["synth001"], fm.values[: fm.n_valid_frames])
 
     def test_non_finite_wav_reported(self, tmp_path, capsys):
         corpus = tmp_path / "c"

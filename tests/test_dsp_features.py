@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convser import dsp_features
-from convser.audio_io import AudioBuffer
+from convser.audio_io import AudioBuffer, resample_linear
 from convser.dsp_features import (
     FeatureConfig,
     FeatureStore,
@@ -299,9 +299,13 @@ class TestExtractFeatures:
         b = extract_features(tone, config)
         assert np.array_equal(a.values, b.values)
 
-    def test_rate_mismatch_rejected(self):
-        with pytest.raises(ParameterError, match="resample"):
-            extract_features(make_tone(100, 1.0, rate=16000), FeatureConfig())
+    def test_other_rate_is_resampled(self):
+        tone = make_tone(100, 1.0, rate=16000)
+        config = FeatureConfig()
+        a = extract_features(tone, config)
+        b = extract_features(resample_linear(tone, config.sample_rate), config)
+        assert a.n_valid_frames == b.n_valid_frames > 0
+        assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):

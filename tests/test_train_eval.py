@@ -65,14 +65,11 @@ def toy_features(manifest, t=6, width=5, separation=0.5, noise=0.05, seed=0,
 
 
 class TestAdam:
-    def config(self, **kw):
-        return TrainConfig(epochs=1, seed=0, **kw)
-
     def test_zero_gradient_leaves_params(self):
         params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.zeros(2)}
         state = AdamState.for_params(params)
-        adam_step(params, grads, state, self.config())
+        adam_step(params, grads, state, 0.001)
         assert np.array_equal(params["w"], [1.0, -2.0])
         assert state.t == 1
 
@@ -80,7 +77,7 @@ class TestAdam:
         for g in (0.5, -3.0, 1e-4):
             params = {"w": np.array(1.0)}
             state = AdamState.for_params(params)
-            adam_step(params, {"w": np.array(g)}, state, self.config())
+            adam_step(params, {"w": np.array(g)}, state, 0.001)
             delta = float(params["w"]) - 1.0
             expected = -0.001 * g / (abs(g) + 1e-8)
             assert delta == pytest.approx(expected, rel=1e-9)
@@ -89,9 +86,9 @@ class TestAdam:
         params = {"w": np.array(0.3)}
         state = AdamState.for_params(params)
         grads = {"w": np.array(2.0)}
-        adam_step(params, grads, state, self.config())
+        adam_step(params, grads, state, 0.001)
         after_one = float(params["w"])
-        adam_step(params, grads, state, self.config())
+        adam_step(params, grads, state, 0.001)
         after_two = float(params["w"])
         assert after_one < 0.3
         assert after_two < after_one
@@ -108,7 +105,7 @@ class TestAdam:
         params = {"w": np.array(theta)}
         state = AdamState.for_params(params)
         for _ in range(2):
-            adam_step(params, {"w": np.array(g)}, state, self.config())
+            adam_step(params, {"w": np.array(g)}, state, 0.001)
         assert float(params["w"]) == pytest.approx(expected, abs=1e-12)
 
     def test_works_on_model_params(self):
@@ -117,9 +114,9 @@ class TestAdam:
         params = init_params(config, 0)
         grads = init_params(config, 1).tensors()
         state = AdamState.for_params(params.tensors())
-        before = params.copy()
-        adam_step(params.tensors(), grads, state, self.config())
-        assert not np.array_equal(params.lstm_w, before.lstm_w)
+        before = {name: t.copy() for name, t in params.tensors().items()}
+        adam_step(params.tensors(), grads, state, 0.001)
+        assert not np.array_equal(params.lstm_w, before["lstm_w"])
 
 
 class TestSplit:
@@ -255,22 +252,10 @@ class TestTrainModel:
         for curve in result.history.values():
             assert len(curve) == 5  # epoch 0 evaluation plus 4 epochs
 
-    def test_best_val_selection(self):
-        manifest = toy_manifest(24)
-        features = toy_features(manifest)
-        result = train_model(
-            self.model_config(),
-            self.small_config(epochs=8, model_selection="best_val"),
-            features, manifest,
-        )
-        best_epoch = int(np.argmax(result.history["val_accuracy"]))
-        assert result.selected_epoch == best_epoch
-
-    @pytest.mark.parametrize("selection, val_scorings", [("final_epoch", 5), ("best_val", 6)])
-    def test_final_validation_scoring(self, monkeypatch, selection, val_scorings):
-        """final_epoch reuses the last epoch's validation predictions, best_val
-        re-scores its selected copy; either way the counts are those of the
-        returned weights."""
+    def test_final_validation_scoring(self, monkeypatch):
+        """Validation is scored once before training and once per epoch, and
+        the counts come from the last epoch's predictions, which are those of
+        the returned weights."""
         manifest = toy_manifest(24)
         features = toy_features(manifest)
         real_evaluate = train_eval.evaluate
@@ -281,11 +266,11 @@ class TestTrainModel:
             return real_evaluate(params, x, y, batch_size)
 
         monkeypatch.setattr(train_eval, "evaluate", spy_evaluate)
-        config = self.small_config(epochs=4, model_selection=selection)
+        config = self.small_config(epochs=4)
         result = train_model(self.model_config(), config, features, manifest)
         n_val = len(result.val_ids)
         assert n_val != len(result.train_ids)
-        assert scored_rows.count(n_val) == val_scorings
+        assert scored_rows.count(n_val) == config.epochs + 1
 
         row = {rec.id: k for k, rec in enumerate(manifest.records)}
         val_rows = [row[i] for i in result.val_ids]
@@ -339,9 +324,9 @@ class TestGradientClipAndConvBias:
             raw.append({k: v.copy() for k, v in grads.tensors().items()})
             return grads
 
-        def spy_adam(params, grads, state, config):
+        def spy_adam(params, grads, state, learning_rate):
             applied.append({k: np.array(v, copy=True) for k, v in grads.items()})
-            return real_adam(params, grads, state, config)
+            return real_adam(params, grads, state, learning_rate)
 
         monkeypatch.setattr(train_eval, "model_backward", spy_backward)
         monkeypatch.setattr(train_eval, "adam_step", spy_adam)
