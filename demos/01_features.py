@@ -28,7 +28,7 @@ wave = sum((0.5 ** k) * np.sin(2 * np.pi * 160 * (k + 1) * t) for k in range(6))
 buffer = AudioBuffer(0.3 * wave / np.abs(wave).max(), rate)
 print(f"signal: {buffer.duration:.1f} s at {buffer.sample_rate} Hz")
 
-config = FeatureConfig.for_width(13, max_frames=20)
+config = FeatureConfig(n_mfcc=13, max_frames=20)
 frames = frame_signal(buffer, config.frame_len, config.hop)
 print(f"frames: {frames.shape[0]} x {frames.shape[1]} "
       f"({config.frame_len / rate * 1000:.0f} ms each, non-overlapping)")

@@ -26,12 +26,12 @@ manifest = generate_corpus(SynthSpec(n_originals=10, duration_s=2.0, seed=42), w
 merged = augment_dataset(manifest, AugmentationPlan(rng_seed=42), workdir / "aug")
 print(f"corpus: {len(manifest)} originals -> {len(merged)} records")
 
-floor = measure_separability(manifest, FeatureConfig.for_width(13, max_frames=11))
+floor = measure_separability(manifest, FeatureConfig(n_mfcc=13, max_frames=11))
 print(f"threshold-classifier floor on originals: {floor:.2f} (the model should beat this)")
 
 rows = []
 for width in (13, 40):
-    config = FeatureConfig.for_width(width, max_frames=11)
+    config = FeatureConfig(n_mfcc=width, max_frames=11)
     features = np.stack([extract_features(load_wav(merged.resolve(rec)), config).values
                          for rec in merged.records])
     model_config = ModelConfig(filters=16, kernel_size=5, lstm_units=20,

@@ -43,6 +43,10 @@ CONFIG_SECTIONS = {"synth": synth_data.SynthSpec, "plan": augmentation.Augmentat
                    "feature": dsp_features.FeatureConfig, "train": TrainConfig,
                    "model": ModelConfig}
 
+# keys of those classes that --mfcc or the feature store always sets
+CLI_SET_KEYS = {("feature", "n_mfcc"): "--mfcc", ("model", "n_mfcc"): "--mfcc",
+                ("model", "max_frames"): "the feature store"}
+
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -89,23 +93,22 @@ def _load_config_file(path):
         if unknown:
             raise ParameterError(f"{path}: section {section!r} has unknown key {min(unknown)!r}")
         for key, value in body.items():
+            if (section, key) in CLI_SET_KEYS:
+                raise ParameterError(f"{path}: section {section!r} key {key!r} is set by "
+                                     f"{CLI_SET_KEYS[section, key]}, not by --config")
             error = _config_value_error(known[key], value)
             if error:
                 raise ParameterError(f"{path}: section {section!r} key {key!r} {error}")
     return doc
 
 
-def _feature_config(args, cfg, n_mfcc):
+def _feature_config(args, cfg, width):
     kwargs = dict(cfg.get("feature", {}))
-    kwargs.pop("n_mfcc", None)
-    mode40 = kwargs.pop("feature_mode", None)
-    for flag, key in (("frame_len", "frame_len"), ("hop", "hop"), ("max_frames", "max_frames"),
-                      ("n_mels", "n_mels")):
+    for flag in ("frame_len", "hop", "max_frames", "n_mels"):
         value = getattr(args, flag, None)
         if value is not None:
-            kwargs[key] = value
-    mode40 = getattr(args, "mode40", None) or mode40 or "static40"
-    return dsp_features.FeatureConfig.for_width(n_mfcc, mode40=mode40, **kwargs)
+            kwargs[flag] = value
+    return dsp_features.FeatureConfig(n_mfcc=width, **kwargs)
 
 
 def _train_config(args, cfg):
@@ -126,6 +129,8 @@ def _augmentation_plan(args, cfg):
     n = getattr(args, "variants", None)
     if n is None:
         return plan
+    if n < 0:
+        raise ParameterError(f"--variants must be >= 0, got {n}")
     kept = plan.variants()[:n]
     return replace(
         plan,
@@ -149,7 +154,8 @@ def _model_feature_config(path, extra) -> dsp_features.FeatureConfig:
         return dsp_features.FeatureConfig(**extra["feature_config"])
     except (KeyError, TypeError, ParameterError) as exc:
         raise FormatError(f"{path}: no usable feature_config section "
-                          f"({type(exc).__name__}: {exc})") from None
+                          f"({type(exc).__name__}: {exc}); the file is corrupt or was written "
+                          f"by another convser version; re-run `convser train`") from None
 
 
 # --- Subcommands ----------------------------------------------------------------
@@ -397,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", parents=[common], help="extract MFCC features")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mfcc", choices=("13", "40", "both"), default="both")
-    p.add_argument("--mode40", choices=("static40", "delta39e"), default=None,
-                   help="assembly of the 40-wide vector")
+    p.add_argument("--mfcc", choices=("13", "40", "both"), default="both",
+                   help="feature width: 13 (c1..c12 + frame log energy), 40 (c0..c39) or both")
     p.add_argument("--frame-len", dest="frame_len", type=int, default=None)
     p.add_argument("--hop", type=int, default=None)
     p.add_argument("--n-mels", dest="n_mels", type=int, default=None)

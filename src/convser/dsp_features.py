@@ -1,13 +1,11 @@
 """MFCC feature extraction.
 
 Signal path per frame: Hamming window -> FFT power spectrum -> triangular Mel
-filterbank -> log energies -> DCT-II. Three assembly modes are supported:
+filterbank -> log energies -> DCT-II. The width n_mfcc selects the layout:
 
-* ``classic13``  -- cepstral coefficients c1..c12 plus the frame log energy
-  as a thirteenth column.
-* ``static40``   -- the first 40 DCT coefficients c0..c39.
-* ``delta39e``   -- the classic 13 columns, their first- and second-order
-  temporal deltas, and the frame log energy duplicated as a 40th column.
+* 13 (``classic13``) -- cepstral coefficients c1..c12 plus the frame log
+  energy as a thirteenth column.
+* 40 (``static40``)  -- the first 40 DCT coefficients c0..c39.
 
 The finished matrix is zero-centered, scaled into [-1, 1] by its largest
 absolute deviation, and zero-padded (or tail-truncated) to a fixed number of
@@ -29,44 +27,30 @@ import numpy as np
 from .audio_io import AudioBuffer, resample_linear
 from .exceptions import FormatError, ParameterError
 
-FEATURE_MODES = ("classic13", "static40", "delta39e")
-
 
 @dataclass
 class FeatureConfig:
     sample_rate: int = 44100
     frame_len: int = 8192
     hop: int = 8192
-    n_fft: int | None = None
     n_mels: int = 64
     n_mfcc: int = 40
-    feature_mode: str = "static40"
     fmin: float = 0.0
     fmax: float | None = None
     log_floor: float = 1e-10
     max_frames: int = 775
 
     def __post_init__(self):
-        if self.n_fft is None:
-            self.n_fft = self.frame_len
         if self.fmax is None:
             self.fmax = self.sample_rate / 2
         if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
             raise ParameterError(f"frame_len must be a power of two, got {self.frame_len}")
-        if self.n_fft != self.frame_len:
-            raise ParameterError("n_fft must equal frame_len")
         if self.hop < 1:
             raise ParameterError("hop must be >= 1")
-        if self.feature_mode not in FEATURE_MODES:
-            raise ParameterError(f"feature_mode {self.feature_mode!r} not in {FEATURE_MODES}")
-        if self.feature_mode == "classic13" and self.n_mfcc != 13:
-            raise ParameterError("classic13 requires n_mfcc = 13")
-        if self.feature_mode in ("static40", "delta39e") and self.n_mfcc != 40:
-            raise ParameterError(f"{self.feature_mode} requires n_mfcc = 40")
-        # static modes read n_mfcc DCT coefficients; delta39e only reads 13
-        needed = 13 if self.feature_mode in ("classic13", "delta39e") else self.n_mfcc
-        if self.n_mels < needed:
-            raise ParameterError(f"n_mels = {self.n_mels} too small for {self.feature_mode}")
+        if self.n_mfcc not in (13, 40):
+            raise ParameterError(f"n_mfcc must be 13 or 40, got {self.n_mfcc}")
+        if self.n_mels < self.n_mfcc:
+            raise ParameterError(f"n_mels = {self.n_mels} too small for n_mfcc = {self.n_mfcc}")
         if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
             raise ParameterError(
                 f"need 0 <= fmin < fmax <= sample_rate/2, got fmin={self.fmin} fmax={self.fmax}"
@@ -75,15 +59,6 @@ class FeatureConfig:
             raise ParameterError("log_floor must be positive")
         if self.max_frames < 1:
             raise ParameterError("max_frames must be >= 1")
-
-    @classmethod
-    def for_width(cls, n_mfcc: int, mode40: str = "static40", **overrides) -> "FeatureConfig":
-        """The standard config for a 13- or 40-coefficient feature vector."""
-        if n_mfcc == 13:
-            return cls(n_mfcc=13, feature_mode="classic13", **overrides)
-        if n_mfcc == 40:
-            return cls(n_mfcc=40, feature_mode=mode40, **overrides)
-        raise ParameterError(f"n_mfcc must be 13 or 40, got {n_mfcc}")
 
 
 @dataclass
@@ -143,7 +118,7 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(config: FeatureConfig) -> np.ndarray:
-    """Triangular filters, n_mels x (n_fft/2 + 1), peak weight 1.0 at each
+    """Triangular filters, n_mels x (frame_len/2 + 1), peak weight 1.0 at each
     filter's center bin.
 
     Centers are equally spaced on the Mel scale between fmin and fmax. Each
@@ -151,19 +126,19 @@ def mel_filterbank(config: FeatureConfig) -> np.ndarray:
     to the next, so every FFT bin between the first and last center gets
     nonzero weight from at least one filter.
     """
-    return _mel_filterbank(config.sample_rate, config.n_fft, config.n_mels,
+    return _mel_filterbank(config.sample_rate, config.frame_len, config.n_mels,
                            config.fmin, config.fmax)
 
 
-def _mel_filterbank(sample_rate, n_fft, n_mels, fmin, fmax) -> np.ndarray:
-    n_bins = n_fft // 2 + 1
+def _mel_filterbank(sample_rate, frame_len, n_mels, fmin, fmax) -> np.ndarray:
+    n_bins = frame_len // 2 + 1
     mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.round(hz_points * n_fft / sample_rate).astype(int)
+    bins = np.round(hz_points * frame_len / sample_rate).astype(int)
     bins = np.minimum(bins, n_bins - 1)
     if np.any(np.diff(bins) < 1):
         raise ParameterError(
-            f"{n_mels} Mel filters collapse at n_fft={n_fft}: "
+            f"{n_mels} Mel filters collapse at frame_len={frame_len}: "
             "adjacent centers map to the same FFT bin; reduce n_mels or raise frame_len"
         )
 
@@ -204,24 +179,6 @@ def frame_log_energy(frame: np.ndarray, log_floor: float = 1e-10) -> np.ndarray:
     if frame.shape[-1] == 0:
         raise ParameterError("empty frame")
     return np.log(np.sum(frame * frame, axis=-1) + log_floor)
-
-
-def delta(features: np.ndarray, window: int = 2) -> np.ndarray:
-    """Temporal regression delta with boundary replication.
-
-    d_t = sum_{n=1..W} n (c_{t+n} - c_{t-n}) / (2 sum_{n=1..W} n^2), where
-    frames beyond either end are replicated from the nearest valid frame.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] < 1:
-        raise ParameterError("need at least one frame")
-    padded = np.pad(features, ((window, window), (0, 0)), mode="edge")
-    denom = 2.0 * sum(n * n for n in range(1, window + 1))
-    out = np.zeros_like(features)
-    for n in range(1, window + 1):
-        out += n * (padded[window + n : window + n + len(features)]
-                    - padded[window - n : window - n + len(features)])
-    return out / denom
 
 
 def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.ndarray:
@@ -271,26 +228,16 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     if not np.isfinite(buffer.samples).all():
         raise ParameterError("buffer holds non-finite (NaN or infinite) samples")
     frames = frame_signal(buffer, config.frame_len, config.hop)
-    energy = frame_log_energy(frames, config.log_floor)
-
     window, fb, dct = _dsp_constants(config.sample_rate, config.frame_len, config.n_mels,
                                      config.fmin, config.fmax)
     power = fft_power_spectrum(frames * window)
     log_e = log_mel_energies(power, fb, config.log_floor)
 
-    if config.feature_mode == "static40":
-        basis = dct[: config.n_mfcc]
-        raw = log_e @ basis.T
+    if config.n_mfcc == 40:
+        raw = log_e @ dct[:40].T
     else:
-        basis = dct[:13]
-        cepstra = log_e @ basis.T
-        base13 = np.column_stack([cepstra[:, 1:13], energy])
-        if config.feature_mode == "classic13":
-            raw = base13
-        else:  # delta39e
-            d1 = delta(base13)
-            d2 = delta(d1)
-            raw = np.column_stack([base13, d1, d2, energy])
+        cepstra = log_e @ dct[:13].T
+        raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
 
     n_valid = min(len(raw), config.max_frames)
     values = np.zeros((config.max_frames, config.n_mfcc))
@@ -367,7 +314,8 @@ def load_features(root, n_mfcc: int) -> FeatureStore:
             hashes = npz["content_hashes"].tolist()
             config = FeatureConfig(**json.loads(str(npz["config"])))
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
-        raise FormatError(f"corrupt feature store {path} ({type(exc).__name__}); "
+        raise FormatError(f"feature store {path} is corrupt or was written by another convser "
+                          f"version ({type(exc).__name__}); "
                           f"delete it and re-run `convser extract --mfcc {n_mfcc}`") from None
     return FeatureStore(config, dict(zip(ids, rows)), dict(zip(ids, hashes)))
 

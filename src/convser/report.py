@@ -4,6 +4,7 @@ optional SVG bar chart of averaged accuracy."""
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 from .exceptions import ParameterError
@@ -22,18 +23,17 @@ CSV_COLUMNS = (
 
 _METRIC_COLUMNS = dict(zip(METRIC_NAMES, CSV_COLUMNS[4:]))
 
+# what a metric cell may hold: a percent, an undefined ratio, or a failed cell
+_METRIC_CELL = re.compile(r"\d+(\.\d+)?%|n/a|failed")
+
 
 def format_percent(value) -> str:
     return "n/a" if value is None else f"{100.0 * value:.2f}%"
 
 
 def parse_percent(text: str):
-    text = text.strip()
-    if text.lower() in ("n/a", "na", ""):
-        return None
-    if text.endswith("%"):
-        return float(text[:-1]) / 100.0
-    return float(text)
+    """The fraction in a percent cell; None for `n/a` or `failed`."""
+    return float(text[:-1]) / 100.0 if text.endswith("%") else None
 
 
 def result_row(result) -> dict:
@@ -71,7 +71,13 @@ def read_results_csv(path) -> list[dict]:
             raise ParameterError(
                 f"{path}: unexpected columns {reader.fieldnames!r}; expected {list(CSV_COLUMNS)}"
             )
-        return [dict(row) for row in reader]
+        rows = [dict(row) for row in reader]
+    for row in rows:
+        for col in CSV_COLUMNS[4:]:
+            if not _METRIC_CELL.fullmatch(row[col] or ""):
+                raise ParameterError(f"{path}: model {row['Model']!r} has {col} {row[col]!r}; "
+                                     "expected a percent, n/a or failed")
+    return rows
 
 
 def render_text_table(rows: list[dict]) -> str:
@@ -118,12 +124,13 @@ def render_accuracy_svg(rows: list[dict], path) -> None:
             f'font-size="11">{tick:.2f}</text>'
         )
     for i, row in enumerate(rows):
-        acc = parse_percent(row.get("Ø Accuracy", "n/a"))
+        cell = row.get("Ø Accuracy", "n/a")
+        acc = parse_percent(cell)
         x = margin + (i + 0.15) * plot_w / n
-        if acc is None:
+        if acc is None:  # labelled n/a or failed
             parts.append(
                 f'<text x="{x + bar_w / 2:.1f}" y="{height - margin - 6}" '
-                f'text-anchor="middle" font-size="11">n/a</text>'
+                f'text-anchor="middle" font-size="11">{cell}</text>'
             )
         else:
             bar_h = acc * plot_h

@@ -184,8 +184,8 @@ def test_c6_desk_scale_learnability(separable_corpus):
     originals = separable_corpus["originals"]
     merged = separable_corpus["merged"]
 
-    floor = measure_separability(originals, FeatureConfig.for_width(13, max_frames=60))
-    features = extract_all(merged, FeatureConfig.for_width(40, max_frames=60))
+    floor = measure_separability(originals, FeatureConfig(n_mfcc=13, max_frames=60))
+    features = extract_all(merged, FeatureConfig(n_mfcc=40, max_frames=60))
     model_config = ModelConfig(filters=32, kernel_size=20, lstm_units=40, n_mfcc=40,
                                max_frames=60)
     train_config = TrainConfig(epochs=250, batch_size=16, learning_rate=0.001,
@@ -226,7 +226,7 @@ def test_c7_null_corpus_chance_band(tmp_path):
     manifest = generate_corpus(SynthSpec.null(n_originals=38, duration_s=10.0, seed=42),
                                tmp_path / "src")
     merged = augment_dataset(manifest, AugmentationPlan(rng_seed=42), tmp_path / "aug")
-    features = extract_all(merged, FeatureConfig.for_width(13, max_frames=60))
+    features = extract_all(merged, FeatureConfig(n_mfcc=13, max_frames=60))
     model_config = ModelConfig(filters=16, kernel_size=5, lstm_units=20, n_mfcc=13,
                                max_frames=60)
     # grouped split: the leakage-free protocol, so chance is the honest target
@@ -254,7 +254,7 @@ def test_c8_leakage_visibility(tmp_path):
     original_bytes = (tmp_path / "aug" / "synth000.wav").read_bytes()
     assert (tmp_path / "aug" / "synth000__stretch_1.wav").read_bytes() == original_bytes
 
-    features = extract_all(merged, FeatureConfig.for_width(13, max_frames=11))
+    features = extract_all(merged, FeatureConfig(n_mfcc=13, max_frames=11))
     model_config = ModelConfig(filters=16, kernel_size=5, lstm_units=20, n_mfcc=13,
                                max_frames=11)
     scores = {}

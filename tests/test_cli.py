@@ -60,7 +60,7 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"synth": {"n_originals": 2, "duration_s": 0.4},
                                     "train": {"epochs": 1, "learning_rate": 1},
-                                    "feature": {"n_mfcc": 13, "fmax": None},
+                                    "feature": {"hop": 8192, "fmax": None},
                                     "plan": {"time_stretch_rates": [0.9, 1], "combined": False}}))
         assert run("synth", "--config", path, "--out", tmp_path / "c") == 0
         assert "wrote 2 files" in capsys.readouterr().out
@@ -89,6 +89,15 @@ class TestConfigFile:
         ('{"plan": {"noise_snrs_db": [20, "10"]}}',
          "section 'plan' key 'noise_snrs_db' must be a list of numbers"),
         ('{"feature": {"fmax": "8000"}}', "section 'feature' key 'fmax' must be null or a number"),
+        ('{"feature": {"n_mfcc": 13}}',
+         "section 'feature' key 'n_mfcc' is set by --mfcc, not by --config"),
+        ('{"model": {"n_mfcc": 40}}',
+         "section 'model' key 'n_mfcc' is set by --mfcc, not by --config"),
+        ('{"model": {"max_frames": 99}}',
+         "section 'model' key 'max_frames' is set by the feature store, not by --config"),
+        ('{"feature": {"feature_mode": "static40"}}',
+         "section 'feature' has unknown key 'feature_mode'"),
+        ('{"feature": {"n_fft": 8192}}', "section 'feature' has unknown key 'n_fft'"),
     ])
     def test_bad_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
@@ -114,6 +123,13 @@ class TestAugment:
         assert "6 -> 6" in capsys.readouterr().out
         manifest = (tmp_path / "noop" / "manifest.jsonl").read_text().splitlines()
         assert len(manifest) == 6
+
+    def test_negative_variants_rejected(self, pipeline, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--variants", -1, "--out", tmp_path / "out") == 1
+        assert "error: --variants must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_paper_scale_counts(self, tmp_path, capsys):
         assert run("synth", "--n", 38, "--duration", 0.5, "--seed", 2,
@@ -209,20 +225,30 @@ class TestExtract:
 
 
 def damage_store(pipeline, tmp_path, damage):
-    """A copy of the pipeline's feature store whose mfcc13.npz is junk or cut."""
+    """A copy of the pipeline's feature store whose mfcc13.npz is junk, cut,
+    or has the config of an older convser (with feature_mode and n_fft)."""
     features = tmp_path / "features"
     features.mkdir()
     for store in pipeline["features"].iterdir():
         (features / store.name).write_bytes(store.read_bytes())
     path = features / "mfcc13.npz"
+    if damage == "old_version":
+        with np.load(path) as npz:
+            members = dict(npz)
+        config = json.loads(str(members["config"])) | {"feature_mode": "classic13", "n_fft": 8192}
+        members["config"] = np.array(json.dumps(config, sort_keys=True))
+        with open(path, "wb") as handle:
+            np.savez(handle, **members)
+        return features
     intact = path.read_bytes()
     path.write_bytes(b"junk" if damage == "junk" else intact[: len(intact) // 2])
     return features
 
 
-@pytest.mark.parametrize("damage", ["junk", "truncated"])
+@pytest.mark.parametrize("damage", ["junk", "truncated", "old_version"])
 class TestCorruptStore:
-    """A damaged store exits 1 with an error that names the file and the fix."""
+    """A damaged or older-version store exits 1 with an error that names the
+    file and the fix."""
 
     def check_error(self, capsys, features):
         err = capsys.readouterr().err
@@ -369,7 +395,13 @@ class TestTrainPredictEvaluate:
         assert reads.count(model) == 1
         assert len(parses) == 1
 
-    @pytest.mark.parametrize("feature_config", [None, {"bogus": 1}, {"n_mfcc": 7}])
+    @pytest.mark.parametrize("feature_config", [
+        None, {"bogus": 1}, {"n_mfcc": 7},
+        # the feature_config of a model written by an older convser
+        {"sample_rate": 44100, "frame_len": 8192, "hop": 8192, "n_fft": 8192, "n_mels": 64,
+         "n_mfcc": 13, "feature_mode": "classic13", "fmin": 0.0, "fmax": 22050.0,
+         "log_floor": 1e-10, "max_frames": 6},
+    ])
     def test_predict_needs_a_usable_feature_config(self, pipeline, run_dir, tmp_path, capsys,
                                                    feature_config):
         doc = json.loads((run_dir / "M1-13_fold0.model.json").read_text())
@@ -383,6 +415,7 @@ class TestTrainPredictEvaluate:
         assert run("predict", "--model", model, pipeline["corpus"] / "synth000.wav") == 1
         err = capsys.readouterr().err
         assert f"error: {model}: no usable feature_config" in err
+        assert err.rstrip().endswith("re-run `convser train`")
 
     def test_missing_features_is_actionable(self, pipeline, tmp_path, capsys):
         rc = run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
@@ -453,3 +486,23 @@ class TestGridAndReport:
         assert "M8-40" in printed
         assert "98.91%" in printed
         assert svg.read_text().startswith("<svg")
+
+    def test_report_labels_a_failed_cell(self, tmp_path, capsys):
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        results = tmp_path / "results_40.csv"
+        results.write_text("\n".join([lines[0], lines[1], "M2-40,32,5,20" + ",failed" * 4]) + "\n",
+                           encoding="utf-8")
+        svg = tmp_path / "accuracy.svg"
+        assert run("report", "--results", results, "--svg", svg) == 0
+        assert ">failed</text>" in svg.read_text()
+
+    def test_report_rejects_a_bad_metric_cell(self, tmp_path, capsys):
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        results = tmp_path / "results_40.csv"
+        results.write_text("\n".join([lines[0], lines[1].replace("80.80%", "0.808")]) + "\n",
+                           encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--results", results, "--svg", tmp_path / "a.svg") == 1
+        err = capsys.readouterr().err
+        assert f"error: {results}: model 'M1-40'" in err and "'0.808'" in err
+        assert not (tmp_path / "a.svg").exists()

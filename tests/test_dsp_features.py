@@ -9,7 +9,6 @@ from convser.dsp_features import (
     cached_features_fresh,
     config_hash,
     dct_matrix,
-    delta,
     extract_features,
     fft_power_spectrum,
     frame_log_energy,
@@ -121,7 +120,7 @@ class TestMelFilterbank:
         fb = mel_filterbank(config)
         for m in (5, 20, 50):
             center_bin = int(np.argmax(fb[m]))
-            freq = center_bin * config.sample_rate / config.n_fft
+            freq = center_bin * config.sample_rate / config.frame_len
             t = np.arange(config.frame_len) / config.sample_rate
             power = fft_power_spectrum(np.sin(2 * np.pi * freq * t))
             assert int(np.argmax(fb @ power)) == m
@@ -185,7 +184,7 @@ class TestDct:
     def test_n_out_too_large(self):
         # the pipeline reads n_mfcc DCT coefficients of n_mels Mel energies
         with pytest.raises(ParameterError, match="n_mels = 39 too small"):
-            FeatureConfig.for_width(40, n_mels=39)
+            FeatureConfig(n_mfcc=40, n_mels=39)
 
 
 class TestFrameLogEnergy:
@@ -207,21 +206,6 @@ class TestFrameLogEnergy:
     def test_empty(self):
         with pytest.raises(ParameterError):
             frame_log_energy(np.zeros(0))
-
-
-class TestDelta:
-    def test_constant_in_time(self):
-        features = np.tile([1.0, -2.0, 3.0], (6, 1))
-        assert np.all(delta(features) == 0.0)
-
-    def test_single_frame(self):
-        assert np.all(delta(np.array([[1.0, 2.0, 3.0]])) == 0.0)
-
-    def test_linear_ramp(self):
-        k = 0.37
-        features = (k * np.arange(10))[:, None] * np.ones((1, 3))
-        d = delta(features)
-        assert np.allclose(d[2:-2], k, atol=1e-12)
 
 
 class TestNormalize:
@@ -255,20 +239,38 @@ class TestExtractFeatures:
     def test_output_widths(self):
         tone = make_tone(700, duration_s=1.5)
         for width in (13, 40):
-            config = FeatureConfig.for_width(width, max_frames=8)
+            config = FeatureConfig(n_mfcc=width, max_frames=8)
             fm = extract_features(tone, config)
             assert fm.values.shape == (8, width)
             assert fm.n_valid_frames == (len(tone.samples) - 8192) // 8192 + 1
 
-    def test_delta_mode_width(self):
-        tone = make_tone(700, duration_s=1.5)
-        fm = extract_features(tone, FeatureConfig.for_width(40, mode40="delta39e", max_frames=8))
-        assert fm.values.shape == (8, 40)
+    def test_width_selects_layout(self):
+        """13 gives c1..c12 then the frame log energy; 40 gives c0..c39. The
+        clip has 6 frames and max_frames is 4, so only the first 4 are kept
+        and normalized."""
+        tone = make_tone(880, duration_s=1.3)
+        for width in (13, 40):
+            config = FeatureConfig(n_mfcc=width, max_frames=4)
+            frames = frame_signal(tone, config.frame_len, config.hop)
+            power = fft_power_spectrum(frames * hamming_window(config.frame_len))
+            log_e = log_mel_energies(power, mel_filterbank(config), config.log_floor)
+            dct = dct_matrix(config.n_mels)
+            if width == 13:
+                # c1..c12 sliced from c0..c12: the product with rows 1..12
+                # alone may round differently in the last bit
+                raw = np.column_stack([(log_e @ dct[:13].T)[:, 1:13],
+                                       frame_log_energy(frames, config.log_floor)])
+            else:
+                raw = log_e @ dct[:40].T
+            assert len(raw) == 6
+            fm = extract_features(tone, config)
+            assert fm.n_valid_frames == 4
+            assert np.array_equal(fm.values, normalize_centered(raw[:4]))
 
     def test_silence_has_no_temporal_variation(self):
         silence = AudioBuffer(np.zeros(44100), 44100)
         for width in (13, 40):
-            fm = extract_features(silence, FeatureConfig.for_width(width, max_frames=8))
+            fm = extract_features(silence, FeatureConfig(n_mfcc=width, max_frames=8))
             valid = fm.values[: fm.n_valid_frames]
             # every frame of silence is identical; only padding rows differ
             assert np.all(valid == valid[0])
@@ -277,14 +279,14 @@ class TestExtractFeatures:
 
     def test_values_bounded_and_padding_zero(self):
         tone = make_tone(1000, duration_s=1.2)
-        fm = extract_features(tone, FeatureConfig.for_width(40, max_frames=10))
+        fm = extract_features(tone, FeatureConfig(n_mfcc=40, max_frames=10))
         assert np.abs(fm.values).max() <= 1.0
         assert np.all(fm.values[fm.n_valid_frames :] == 0.0)
 
     def test_tone_lands_in_nearest_filter(self):
-        config = FeatureConfig.for_width(40, max_frames=10)
+        config = FeatureConfig(n_mfcc=40, max_frames=10)
         fb = mel_filterbank(config)
-        centers = np.argmax(fb, axis=1) * config.sample_rate / config.n_fft
+        centers = np.argmax(fb, axis=1) * config.sample_rate / config.frame_len
         target = int(np.argmin(np.abs(centers - 1000.0)))
         tone = make_tone(centers[target], duration_s=1.2)
         frames = frame_signal(tone, config.frame_len, config.hop)
@@ -294,7 +296,7 @@ class TestExtractFeatures:
 
     def test_deterministic(self):
         tone = make_tone(333, duration_s=1.0)
-        config = FeatureConfig.for_width(13, max_frames=6)
+        config = FeatureConfig(n_mfcc=13, max_frames=6)
         a = extract_features(tone, config)
         b = extract_features(tone, config)
         assert np.array_equal(a.values, b.values)
@@ -312,10 +314,10 @@ class TestExtractFeatures:
         tone = make_tone(440, duration_s=0.5)
         tone.samples[-1] = bad
         with pytest.raises(ParameterError, match="non-finite"):
-            extract_features(tone, FeatureConfig.for_width(13, max_frames=3))
+            extract_features(tone, FeatureConfig(n_mfcc=13, max_frames=3))
 
     def test_cached_constants_are_read_only(self):
-        config = FeatureConfig.for_width(40)
+        config = FeatureConfig(n_mfcc=40)
         key = (config.sample_rate, config.frame_len, config.n_mels, config.fmin, config.fmax)
         constants = dsp_features._dsp_constants(*key)
         assert dsp_features._dsp_constants(*key) is constants
@@ -329,7 +331,7 @@ class TestExtractFeatures:
         """extract_features with cached constants equals, bit for bit, the
         same pipeline with the window, filterbank and DCT built afresh."""
         tone = make_tone(523, duration_s=1.4)
-        config = FeatureConfig.for_width(width, max_frames=8)
+        config = FeatureConfig(n_mfcc=width, max_frames=8)
         frames = frame_signal(tone, config.frame_len, config.hop)
         power = fft_power_spectrum(frames * hamming_window(config.frame_len))
         log_e = log_mel_energies(power, mel_filterbank(config), config.log_floor)
@@ -347,7 +349,7 @@ class TestExtractFeatures:
 
     def test_truncation_to_max_frames(self):
         tone = make_tone(500, duration_s=2.0)
-        fm = extract_features(tone, FeatureConfig.for_width(13, max_frames=3))
+        fm = extract_features(tone, FeatureConfig(n_mfcc=13, max_frames=3))
         assert fm.values.shape == (3, 13)
         assert fm.n_valid_frames == 3
 
@@ -364,7 +366,7 @@ class TestFeatureStore:
         return store
 
     def test_roundtrip_is_bit_exact_with_padding(self, tmp_path):
-        config = FeatureConfig.for_width(13, max_frames=6)
+        config = FeatureConfig(n_mfcc=13, max_frames=6)
         ids = ["a", "b", "c"]
         expected = {i: extract_features(make_tone(440, duration_s=s), config)
                     for i, s in zip(ids, (0.5, 1.0, 2.0))}
@@ -383,14 +385,14 @@ class TestFeatureStore:
             assert len(back.rows[sample_id]) == expected[sample_id].n_valid_frames
 
     def test_fresh_by_content_hash_and_by_config_hash(self, tmp_path):
-        config = FeatureConfig.for_width(13, max_frames=6)
+        config = FeatureConfig(n_mfcc=13, max_frames=6)
         self.stored(tmp_path, config)
         # "c" belongs to another manifest: it is kept but not reported
         store, fresh = cached_features_fresh(
             tmp_path, config, {"a": "hash-a", "b": "changed", "d": "hash-d"})
         assert fresh == {"a"}
         assert sorted(store.rows) == ["a", "b", "c"]
-        changed = FeatureConfig.for_width(13, max_frames=7)
+        changed = FeatureConfig(n_mfcc=13, max_frames=7)
         store, fresh = cached_features_fresh(tmp_path, changed, {"a": "hash-a"})
         assert fresh == set() and store.rows == {} and store.config == changed
         store, fresh = cached_features_fresh(tmp_path / "none", config, {"a": "hash-a"})
@@ -399,13 +401,13 @@ class TestFeatureStore:
     def test_missing_store_and_missing_id_name_the_extract_command(self, tmp_path):
         with pytest.raises(ParameterError, match="convser extract --mfcc 40"):
             load_features(tmp_path, 40)
-        self.stored(tmp_path, FeatureConfig.for_width(40, max_frames=6))
+        self.stored(tmp_path, FeatureConfig(n_mfcc=40, max_frames=6))
         with pytest.raises(ParameterError, match="'zz'.*convser extract --mfcc 40"):
             load_features(tmp_path, 40).stack(["a", "zz"])
 
     def test_config_hash_stable_and_sensitive(self):
-        a = FeatureConfig.for_width(13)
-        b = FeatureConfig.for_width(13)
-        c = FeatureConfig.for_width(13, max_frames=99)
+        a = FeatureConfig(n_mfcc=13)
+        b = FeatureConfig(n_mfcc=13)
+        c = FeatureConfig(n_mfcc=13, max_frames=99)
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)

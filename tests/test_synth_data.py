@@ -50,7 +50,7 @@ class TestGenerateCorpus:
 
 class TestSeparability:
     def config(self):
-        return FeatureConfig.for_width(13, max_frames=11)
+        return FeatureConfig(n_mfcc=13, max_frames=11)
 
     def test_separable_default_signatures(self, tmp_path):
         spec = SynthSpec(n_originals=16, duration_s=2.0, seed=5)
