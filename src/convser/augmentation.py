@@ -20,6 +20,7 @@ import numpy as np
 from .audio_io import AudioBuffer, DatasetManifest, load_wav, write_wav
 from .exceptions import ParameterError
 from .seeding import derive_seed
+from .train_eval import map_tasks
 
 # overlap-add grain geometry (75% overlap Hann grains, ~46 ms at 44.1 kHz);
 # each grain may slide +-OLA_TOLERANCE samples off its nominal position to the
@@ -154,41 +155,53 @@ def _apply_variant(buffer: AudioBuffer, kind: str, param, seed: int) -> AudioBuf
     raise ParameterError(f"unknown augmentation kind {kind!r}")
 
 
+def _augment_record(task):
+    """Copy one original into out_dir and write its variants. Returns the
+    paths written and the failure that stopped the record (None if none did)."""
+    src, rec_id, plan, out_dir = task
+    written = []
+    try:
+        dst = out_dir / f"{rec_id}.wav"
+        if src.resolve() != dst.resolve():
+            shutil.copyfile(src, dst)
+            written.append(dst)
+        buffer = load_wav(src)
+        for tag, kind, param in plan.variants():
+            variant = _apply_variant(buffer, kind, param, derive_seed(plan.rng_seed, rec_id, tag))
+            written.append(out_dir / f"{rec_id}__{tag}.wav")
+            write_wav(variant, written[-1])
+    except Exception as exc:  # returned, so the files of every record can be removed
+        return written, exc
+    return written, None
+
+
 def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
-                    out_dir) -> DatasetManifest:
+                    out_dir, jobs: int = 1) -> DatasetManifest:
     """Write the expanded corpus into out_dir and return the merged manifest.
 
     Originals are copied in unchanged, each variant WAV is written as
     <original_id>__<tag>.wav, and every variant inherits the label and
-    group_id of its original. On any failure the files written so far are
-    removed so no half-built corpus is left behind.
+    group_id of its original. Each original is one task; jobs > 1 runs them
+    in worker processes, and every variant's noise seed derives from its own
+    id and tag, so the files are the same bytes as with one. On any failure
+    every file written is removed so no half-built corpus is left behind, and
+    the first record's failure is raised.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    results = map_tasks(_augment_record,
+                        [(manifest.resolve(rec), rec.id, plan, out_dir) for rec in manifest.records],
+                        jobs)
+    failures = [exc for _, exc in results if exc is not None]
+    if failures:
+        for written, _ in results:
+            for path in written:
+                path.unlink(missing_ok=True)
+        raise failures[0]
     records = []
-    try:
-        for rec in manifest.records:
-            src = manifest.resolve(rec)
-            original_name = f"{rec.id}.wav"
-            dst = out_dir / original_name
-            if src.resolve() != dst.resolve():
-                shutil.copyfile(src, dst)
-                written.append(dst)
-            records.append(replace(rec, path=original_name))
-
-            buffer = load_wav(src)
-            for tag, kind, param in plan.variants():
-                seed = derive_seed(plan.rng_seed, rec.id, tag)
-                variant = _apply_variant(buffer, kind, param, seed)
-                name = f"{rec.id}__{tag}.wav"
-                write_wav(variant, out_dir / name)
-                written.append(out_dir / name)
-                records.append(
-                    replace(rec, id=f"{rec.id}__{tag}", path=name, augmentation=kind)
-                )
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
+    for rec in manifest.records:
+        records.append(replace(rec, path=f"{rec.id}.wav"))
+        records.extend(replace(rec, id=f"{rec.id}__{tag}", path=f"{rec.id}__{tag}.wav",
+                               augmentation=kind)
+                       for tag, kind, _ in plan.variants())
     return DatasetManifest(records=records, root=out_dir)

@@ -141,6 +141,13 @@ def _augmentation_plan(args, cfg):
     )
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _load_feature_store(features_root, n_mfcc, manifest):
     """The stored FeatureConfig and the manifest's (records, frames, n_mfcc)
     feature array, in manifest order."""
@@ -171,7 +178,7 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         kwargs["seed"] = args.seed
     spec = synth_data.SynthSpec.null(**kwargs) if args.null else synth_data.SynthSpec(**kwargs)
-    manifest = synth_data.generate_corpus(spec, args.out)
+    manifest = synth_data.generate_corpus(spec, args.out, jobs=args.jobs or _usable_cores())
     counts = manifest.label_counts()
     print(f"wrote {len(manifest)} files to {args.out} "
           f"(labels: {counts[1]}x1 / {counts[0]}x0)")
@@ -182,7 +189,8 @@ def cmd_augment(args) -> int:
     cfg = _load_config_file(args.config)
     plan = _augmentation_plan(args, cfg)
     manifest = load_manifest(args.manifest)
-    merged = augmentation.augment_dataset(manifest, plan, args.out)
+    merged = augmentation.augment_dataset(manifest, plan, args.out,
+                                          jobs=args.jobs or _usable_cores())
     save_manifest(merged, Path(args.out) / "manifest.jsonl")
     (Path(args.out) / "augmentation_plan.json").write_text(
         json.dumps(asdict(plan), indent=2, sort_keys=True) + "\n"
@@ -192,13 +200,14 @@ def cmd_augment(args) -> int:
 
 
 def _extract_one(task):
-    """One record's valid feature rows, or the message of its failure."""
-    wav_path, config = task
+    """One record's valid feature rows for each config, or the message of its
+    failure."""
+    wav_path, configs = task
     try:
-        fm = dsp_features.extract_features(load_wav(wav_path), config)
+        matrices = dsp_features.extract_widths(load_wav(wav_path), configs)
     except Exception as exc:  # a failed record is reported, not silently skipped
         return f"{type(exc).__name__}: {exc}"
-    return fm.values[: fm.n_valid_frames].copy()
+    return [fm.values[: fm.n_valid_frames].copy() for fm in matrices]
 
 
 def cmd_extract(args) -> int:
@@ -212,22 +221,33 @@ def cmd_extract(args) -> int:
             hashes[rec.id] = hashlib.sha256(manifest.resolve(rec).read_bytes()).hexdigest()[:16]
         except OSError as exc:
             failures.append((rec.id, str(exc)))
+    stores, fresh, stale = {}, {}, {}
     for width in widths:
-        config = _feature_config(args, cfg, width)
         # rows of another config are dropped; ids outside this manifest are kept
-        store, fresh = dsp_features.cached_features_fresh(args.out, config, hashes)
-        stale = [rec for rec in manifest.records if rec.id in hashes and rec.id not in fresh]
-        results = train_eval.map_tasks(
-            _extract_one, [(manifest.resolve(rec), config) for rec in stale], args.jobs or 1)
-        for rec, result in zip(stale, results):
-            if isinstance(result, str):
-                failures.append((rec.id, result))
-            else:
-                store.rows[rec.id], store.hashes[rec.id] = result, hashes[rec.id]
-        if stale or not fresh:  # a warm run rewrites nothing
-            dsp_features.save_features(store, args.out)
-        extracted = sum(not isinstance(r, str) for r in results)
-        print(f"mfcc={width}: extracted {extracted}, cached {len(fresh)}")
+        stores[width], fresh[width] = dsp_features.cached_features_fresh(
+            args.out, _feature_config(args, cfg, width), hashes)
+        stale[width] = set(hashes) - fresh[width]
+    # each record is read and transformed once for all the widths it lacks
+    tasks, records = [], []
+    for rec in manifest.records:
+        configs = [stores[w].config for w in widths if rec.id in stale[w]]
+        if configs:
+            tasks.append((manifest.resolve(rec), configs))
+            records.append(rec)
+    results = train_eval.map_tasks(_extract_one, tasks, args.jobs or 1)
+    extracted = dict.fromkeys(widths, 0)
+    for rec, (_, configs), result in zip(records, tasks, results):
+        if isinstance(result, str):
+            failures.append((rec.id, result))
+            continue
+        for config, rows in zip(configs, result):
+            store = stores[config.n_mfcc]
+            store.rows[rec.id], store.hashes[rec.id] = rows, hashes[rec.id]
+            extracted[config.n_mfcc] += 1
+    for width in widths:
+        if stale[width] or not fresh[width]:  # a warm run rewrites nothing
+            dsp_features.save_features(stores[width], args.out)
+        print(f"mfcc={width}: extracted {extracted[width]}, cached {len(fresh[width])}")
 
     if failures:
         print(f"{len(failures)} extraction failure(s):", file=sys.stderr)
@@ -381,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="pipeline config JSON", default=None)
     common.add_argument("--seed", type=int, default=None, help="base random seed")
-    common.add_argument("--jobs", type=int, default=None, help="parallel worker cap")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: one per usable core for synth and "
+                             "augment, 1 for the other commands)")
 
     parser = argparse.ArgumentParser(prog="convser", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -463,6 +485,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs is not None and args.jobs < 1:
+            raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except ConvserError as exc:
         print(f"error: {exc}", file=sys.stderr)

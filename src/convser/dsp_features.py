@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +223,17 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     config.sample_rate. Output is a max_frames x n_mfcc matrix normalized into
     [-1, 1]; rows past the valid frame count are zero.
     """
+    return extract_widths(buffer, [config])[0]
+
+
+def extract_widths(buffer: AudioBuffer, configs) -> list:
+    """extract_features for each config, in order, from one pass of the
+    pipeline's front end: the buffer is framed, windowed, transformed and
+    Mel-filtered once, and every width is finished from the same log-Mel
+    energies. The configs may differ in n_mfcc only."""
+    config = configs[0]
+    if any(replace(c, n_mfcc=config.n_mfcc) != config for c in configs):
+        raise ParameterError("configs extracted together may differ in n_mfcc only")
     if buffer.sample_rate != config.sample_rate:
         buffer = resample_linear(buffer, config.sample_rate)
     if not np.isfinite(buffer.samples).all():
@@ -233,16 +244,18 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     power = fft_power_spectrum(frames * window)
     log_e = log_mel_energies(power, fb, config.log_floor)
 
-    if config.n_mfcc == 40:
-        raw = log_e @ dct[:40].T
-    else:
-        cepstra = log_e @ dct[:13].T
-        raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
-
-    n_valid = min(len(raw), config.max_frames)
-    values = np.zeros((config.max_frames, config.n_mfcc))
-    values[:n_valid] = normalize_centered(raw[:n_valid])
-    return FeatureMatrix(values=values, n_valid_frames=n_valid)
+    n_valid = min(len(frames), config.max_frames)
+    out = []
+    for width in (c.n_mfcc for c in configs):
+        if width == 40:
+            raw = log_e @ dct[:40].T
+        else:
+            cepstra = log_e @ dct[:13].T
+            raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
+        values = np.zeros((config.max_frames, width))
+        values[:n_valid] = normalize_centered(raw[:n_valid])
+        out.append(FeatureMatrix(values=values, n_valid_frames=n_valid))
+    return out
 
 
 # --- On-disk feature store ----------------------------------------------------

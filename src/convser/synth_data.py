@@ -27,6 +27,7 @@ from .audio_io import (
 from .dsp_features import FeatureConfig, extract_features
 from .exceptions import ParameterError
 from .seeding import rng_for
+from .train_eval import map_tasks
 
 
 @dataclass
@@ -98,41 +99,49 @@ def _synthesize(signature: ClassSignature, jitter: Jitter, duration_s: float,
     return 0.3 * x / np.abs(x).max()
 
 
-def generate_corpus(spec: SynthSpec, out_dir) -> DatasetManifest:
+def _write_original(task):
+    """Synthesise and write one original's WAV; returns None, or the failure."""
+    spec, rec, out_dir = task
+    signature = spec.class1_signature if rec.label == 1 else spec.class0_signature
+    try:
+        samples = _synthesize(signature, spec.jitter, spec.duration_s, spec.sample_rate,
+                              rng_for(spec.seed, rec.id))
+        write_wav(AudioBuffer(samples, spec.sample_rate), out_dir / rec.path)
+    except Exception as exc:  # returned, so the pool keeps the other records
+        return exc
+    return None
+
+
+def generate_corpus(spec: SynthSpec, out_dir, jobs: int = 1) -> DatasetManifest:
     """Write n_originals WAVs plus manifest.jsonl and synth_spec.json.
 
     Labels alternate 0/1 (balanced within one), speaker ids are distinct,
     topics cycle 1..4, and group_id equals the sample id so augmentation can
-    track variant families. Byte-identical for a fixed seed.
+    track variant families. Each record is synthesised from its own seed, so
+    jobs > 1 worker processes write the same bytes as one; byte-identical for
+    a fixed seed.
     """
     if spec.n_originals < 1:
         raise ParameterError("n_originals must be >= 1")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records = []
-    for idx in range(spec.n_originals):
-        label = idx % 2
-        sample_id = f"synth{idx:03d}"
-        signature = spec.class1_signature if label == 1 else spec.class0_signature
-        samples = _synthesize(
-            signature, spec.jitter, spec.duration_s, spec.sample_rate,
-            rng_for(spec.seed, sample_id),
+    records = [
+        SampleRecord(
+            id=f"synth{idx:03d}",
+            path=f"synth{idx:03d}.wav",
+            speaker_id=f"spk{idx:03d}",
+            topic_id=1 + idx % 4,
+            position="pro" if (idx // 2) % 2 == 0 else "contra",
+            label=idx % 2,
+            group_id=f"synth{idx:03d}",
+            augmentation="original",
         )
-        path = f"{sample_id}.wav"
-        write_wav(AudioBuffer(samples, spec.sample_rate), out_dir / path)
-        records.append(
-            SampleRecord(
-                id=sample_id,
-                path=path,
-                speaker_id=f"spk{idx:03d}",
-                topic_id=1 + idx % 4,
-                position="pro" if (idx // 2) % 2 == 0 else "contra",
-                label=label,
-                group_id=sample_id,
-                augmentation="original",
-            )
-        )
+        for idx in range(spec.n_originals)
+    ]
+    for failure in map_tasks(_write_original, [(spec, rec, out_dir) for rec in records], jobs):
+        if failure is not None:
+            raise failure
 
     manifest = DatasetManifest(records=records, root=out_dir)
     save_manifest(manifest, out_dir / "manifest.jsonl")

@@ -11,7 +11,7 @@ from convser.augmentation import (
     pitch_shift,
     time_stretch,
 )
-from convser.exceptions import ParameterError
+from convser.exceptions import FormatError, ParameterError
 from convser.synth_data import SynthSpec, generate_corpus
 
 from conftest import dominant_frequency, make_tone
@@ -153,10 +153,11 @@ class TestAugmentDataset:
                                    tmp_path / "src")
         # corrupt the second source file after manifest validation
         (tmp_path / "src" / manifest.records[1].path).write_bytes(b"not a wav")
-        out = tmp_path / "out"
-        with pytest.raises(Exception):
-            augment_dataset(manifest, AugmentationPlan(rng_seed=1), out)
-        assert list(out.glob("*.wav")) == []
+        for jobs in (1, 2):
+            out = tmp_path / f"out{jobs}"
+            with pytest.raises(FormatError, match="RIFF"):
+                augment_dataset(manifest, AugmentationPlan(rng_seed=1), out, jobs=jobs)
+            assert list(out.glob("*.wav")) == []
 
     def test_snr_of_written_variants(self, tmp_path):
         manifest = generate_corpus(SynthSpec(n_originals=1, duration_s=1.0, seed=9),

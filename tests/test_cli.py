@@ -55,6 +55,40 @@ class TestSynth:
         assert excinfo.value.code == 2
 
 
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestJobs:
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        assert run("synth", "--n", 2, "--duration", 0.3, "--jobs", jobs,
+                   "--out", tmp_path / "c") == 1
+        assert f"error: --jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_synth_files_do_not_depend_on_jobs(self, tmp_path):
+        trees = []
+        for name, jobs in (("default", ()), ("jobs1", ("--jobs", 1)), ("jobs2", ("--jobs", 2))):
+            assert run("synth", "--n", 5, "--duration", 0.3, "--seed", 4, *jobs,
+                       "--out", tmp_path / name) == 0
+            trees.append(tree_bytes(tmp_path / name))
+        assert {"manifest.jsonl", "synth_spec.json", "synth004.wav"} <= set(trees[0])
+        assert trees[0] == trees[1] == trees[2]
+
+    def test_augment_files_do_not_depend_on_jobs(self, pipeline, tmp_path):
+        trees = []
+        for name, jobs in (("default", ()), ("jobs1", ("--jobs", 1)), ("jobs2", ("--jobs", 2))):
+            assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                       "--seed", 7, *jobs, "--out", tmp_path / name) == 0
+            trees.append(tree_bytes(tmp_path / name))
+        assert len(trees[0]) == 48 + 2
+        assert {"manifest.jsonl", "augmentation_plan.json"} <= set(trees[0])
+        assert trees[0] == trees[1] == trees[2]
+        assert trees[0] == tree_bytes(pipeline["augmented"])
+
+
 class TestConfigFile:
     def test_sections_build_their_dataclasses(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -169,6 +203,32 @@ class TestExtract:
         serial = (tmp_path / "jobs1" / "mfcc13.npz").read_bytes()
         assert (tmp_path / "jobs2" / "mfcc13.npz").read_bytes() == serial
         assert (pipeline["features"] / "mfcc13.npz").read_bytes() == serial
+
+    def test_both_widths_equal_separate_runs(self, pipeline, tmp_path, capsys):
+        manifest = pipeline["augmented"] / "manifest.jsonl"
+        for width in ("13", "40"):
+            assert run("extract", "--manifest", manifest, "--mfcc", width, "--max-frames", 6,
+                       "--out", tmp_path / width) == 0
+        assert tree_bytes(tmp_path / "13") | tree_bytes(tmp_path / "40") == tree_bytes(
+            pipeline["features"])
+        # a store holding one width gains the other from the same run
+        capsys.readouterr()
+        assert run("extract", "--manifest", manifest, "--max-frames", 6,
+                   "--out", tmp_path / "13") == 0
+        printed = capsys.readouterr().out
+        assert "mfcc=13: extracted 0, cached 48" in printed
+        assert "mfcc=40: extracted 48, cached 0" in printed
+        assert tree_bytes(tmp_path / "13") == tree_bytes(pipeline["features"])
+
+    def test_cold_extract_reads_each_clip_once(self, pipeline, tmp_path, monkeypatch):
+        reads = []
+        real_load_wav = cli.load_wav
+        monkeypatch.setattr(cli, "load_wav",
+                            lambda path: reads.append(Path(path).name) or real_load_wav(path))
+        manifest = pipeline["augmented"] / "manifest.jsonl"
+        assert run("extract", "--manifest", manifest, "--mfcc", "both", "--max-frames", 6,
+                   "--out", tmp_path / "f") == 0
+        assert sorted(reads) == sorted(rec.path for rec in load_manifest(manifest).records)
 
     def test_corrupt_wav_reported(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "c"

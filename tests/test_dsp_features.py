@@ -10,6 +10,7 @@ from convser.dsp_features import (
     config_hash,
     dct_matrix,
     extract_features,
+    extract_widths,
     fft_power_spectrum,
     frame_log_energy,
     frame_signal,
@@ -346,6 +347,11 @@ class TestExtractFeatures:
             fm = extract_features(tone, config)
             assert fm.n_valid_frames == len(raw)
             assert np.array_equal(fm.values, expected)
+
+    def test_widths_together_share_every_other_setting(self):
+        configs = [FeatureConfig(n_mfcc=13), FeatureConfig(n_mfcc=40, n_mels=48)]
+        with pytest.raises(ParameterError, match="differ in n_mfcc only"):
+            extract_widths(make_tone(440), configs)
 
     def test_truncation_to_max_frames(self):
         tone = make_tone(500, duration_s=2.0)
