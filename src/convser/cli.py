@@ -274,7 +274,8 @@ def cmd_train(args) -> int:
     if not model_config.in_paper_grid:
         log.info("model config %s is outside the standard 16-cell grid", model_config)
 
-    result = train_eval.cross_validate(model_config, train_config, features, manifest)
+    result = train_eval.cross_validate(model_config, train_config, features, manifest,
+                                       jobs=args.jobs or _usable_cores())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_run(result, out_dir, feature_config)
@@ -309,7 +310,8 @@ def cmd_grid(args) -> int:
     for width in GRID_WIDTHS:
         configs[width], features[width] = _load_feature_store(args.features, width, manifest)
     started = time.perf_counter()
-    results = train_eval.run_grid(train_config, features, manifest, jobs=args.jobs or 1)
+    results = train_eval.run_grid(train_config, features, manifest,
+                                  jobs=args.jobs or _usable_cores())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for width in GRID_WIDTHS:
@@ -402,8 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="pipeline config JSON", default=None)
     common.add_argument("--seed", type=int, default=None, help="base random seed")
     common.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: one per usable core for synth and "
-                             "augment, 1 for the other commands)")
+                        help="worker processes (default: one per usable core for synth, "
+                             "augment, train and grid; 1 for extract; evaluate, predict and "
+                             "report run in one process); training workers run one BLAS "
+                             "thread each")
 
     parser = argparse.ArgumentParser(prog="convser", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

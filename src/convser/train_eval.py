@@ -8,10 +8,14 @@ fresh model, and the reported metrics are the arithmetic mean over folds.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +34,8 @@ from .neural_net import (
     model_forward,
 )
 from .seeding import derive_seed, rng_for
+
+log = logging.getLogger(__name__)
 
 SPLIT_MODES = ("paper", "grouped")
 # The share of records each shuffle trains on; the rest validate.
@@ -429,16 +435,15 @@ def grid_model_id(model_config: ModelConfig) -> str:
 
 
 def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
-                   features: np.ndarray, manifest: DatasetManifest) -> RunReport:
+                   features: np.ndarray, manifest: DatasetManifest, jobs: int = 1) -> RunReport:
     """Three (or n_shuffles) independent reshuffle-and-train runs with seeds
-    seed+0 .. seed+n-1; metrics averaged arithmetically across folds."""
+    seed+0 .. seed+n-1; metrics averaged arithmetically across folds. jobs > 1
+    trains the folds in worker processes; the results do not depend on jobs."""
     start_time = time.perf_counter()
-    folds = []
     fold_seeds = [train_config.seed + k for k in range(train_config.n_shuffles)]
-    for fold_seed in fold_seeds:
-        folds.append(
-            train_model(model_config, replace(train_config, seed=fold_seed), features, manifest)
-        )
+    tasks = [(model_config, replace(train_config, seed=fold_seed), features, manifest)
+             for fold_seed in fold_seeds]
+    folds = map_tasks(_run_fold, tasks, jobs, one_blas_thread=True)
     averaged, excluded = average_metrics([f.metrics for f in folds])
     return RunReport(
         model_id=grid_model_id(model_config),
@@ -453,6 +458,10 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
         wall_time_s=time.perf_counter() - start_time,
         folds=folds,
     )
+
+
+def _run_fold(task):
+    return train_model(*task)
 
 
 def grid_configs(n_mfcc: int, max_frames: int):
@@ -471,15 +480,61 @@ def grid_configs(n_mfcc: int, max_frames: int):
     ]
 
 
-def map_tasks(fn, tasks, jobs: int) -> list:
+# OpenBLAS's thread-count setter under the names its builds export: the
+# scipy-openblas library numpy wheels bundle, then 64-bit-integer and plain builds
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                    "openblas_set_num_threads")
+
+
+@functools.cache
+def _openblas_setter():
+    """(library, thread-count setter) of the OpenBLAS numpy has loaded into
+    this process, or None when none is found (another BLAS, or no /proc)."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    paths = {fields[5] for fields in (line.split(maxsplit=5) for line in maps)
+             if len(fields) == 6 and "openblas" in Path(fields[5]).name.lower()}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)  # already loaded: this adds a reference, not a copy
+        for name in OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return lib, setter
+    return None
+
+
+def _pin_one_blas_thread():
+    """Pool initializer of training workers: one OpenBLAS thread each, so
+    that jobs workers keep jobs cores busy instead of oversubscribing them."""
+    _, setter = _openblas_setter()
+    setter(1)
+
+
+def map_tasks(fn, tasks, jobs: int, one_blas_thread: bool = False) -> list:
     """[fn(task) for task in tasks], in order: in this process when jobs <= 1,
-    else in a pool of up to jobs worker processes. fn is a module-level
-    function that returns its failure as a result instead of raising, so one
-    bad task never loses the results of the others."""
+    else in a pool of up to jobs worker processes, for which fn must be a
+    module-level function. When fn raises, the first failed task's exception
+    reaches the caller with its type and message either way; callers that
+    must keep the other tasks' results have fn return its failure instead.
+
+    one_blas_thread=True runs each worker's OpenBLAS on one thread. Training
+    results do not depend on the thread count, but the feature stores' bytes
+    do, so feature extraction and the corpus commands leave it alone. The
+    calling process is never pinned."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    initializer = None
+    if one_blas_thread:
+        if _openblas_setter() is None:
+            log.warning("no OpenBLAS thread-count function found; each of %d training "
+                        "workers runs BLAS with its default thread count", workers)
+        else:
+            initializer = _pin_one_blas_thread
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -501,10 +556,11 @@ def run_grid(train_config: TrainConfig, features: dict, manifest: DatasetManifes
     features {13: array, 40: array}, each (records, frames, width) in manifest
     order. Returns {13: [RunReport | GridFailure x8], 40: [... x8]} in M1..M8
     order; jobs > 1 runs the independent cells in worker processes with a
-    deterministic, order-preserving reduce."""
+    deterministic, order-preserving reduce. Each cell trains its folds
+    serially, so pools never nest."""
     tasks = [(model_config, train_config, features[width], manifest)
              for width in GRID_WIDTHS
              for model_config in grid_configs(width, features[width].shape[1])]
-    results = map_tasks(_run_cell, tasks, jobs)
+    results = map_tasks(_run_cell, tasks, jobs, one_blas_thread=True)
     cells = len(tasks) // len(GRID_WIDTHS)
     return {width: results[k * cells : (k + 1) * cells] for k, width in enumerate(GRID_WIDTHS)}

@@ -14,13 +14,15 @@ import pytest
 
 from convser.audio_io import load_wav
 from convser.augmentation import AugmentationPlan, augment_dataset
-from convser.cli import main as cli_main
+from convser.cli import _usable_cores, main as cli_main
 from convser.dsp_features import FeatureConfig, dct_matrix, extract_features, fft_power_spectrum
 from convser.neural_net import ModelConfig, init_params, model_backward, model_forward
 from convser.synth_data import SynthSpec, generate_corpus, measure_separability
 from convser.train_eval import TrainConfig, confusion, cross_validate, metrics
 
 FIXTURE = Path(__file__).parent / "fixtures" / "results_40_reference.csv"
+# C6 and C7 train their three folds in parallel; the results do not depend on it
+FOLD_JOBS = min(3, _usable_cores())
 
 
 def report_line(name, ok, detail):
@@ -191,7 +193,7 @@ def test_c6_desk_scale_learnability(separable_corpus):
     train_config = TrainConfig(epochs=250, batch_size=16, learning_rate=0.001,
                                n_shuffles=3, split_mode="paper", seed=42,
                                dtype="float32")
-    run = cross_validate(model_config, train_config, features, merged)
+    run = cross_validate(model_config, train_config, features, merged, jobs=FOLD_JOBS)
     elapsed = time.perf_counter() - start
 
     val_curves = np.array([h["val_accuracy"] for h in run.histories])
@@ -232,7 +234,7 @@ def test_c7_null_corpus_chance_band(tmp_path):
     # grouped split: the leakage-free protocol, so chance is the honest target
     train_config = TrainConfig(epochs=100, n_shuffles=3, split_mode="grouped", seed=42,
                                dtype="float32")
-    run = cross_validate(model_config, train_config, features, merged)
+    run = cross_validate(model_config, train_config, features, merged, jobs=FOLD_JOBS)
     accuracy = run.averaged.accuracy
     report_line("C7 null-corpus sanity", 0.35 <= accuracy <= 0.65,
                 f"averaged validation accuracy {accuracy:.4f} in [0.35, 0.65]")

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,36 @@ class TestJobs:
         assert {"manifest.jsonl", "augmentation_plan.json"} <= set(trees[0])
         assert trees[0] == trees[1] == trees[2]
         assert trees[0] == tree_bytes(pipeline["augmented"])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_train_files_do_not_depend_on_jobs(self, pipeline, tmp_path, dtype):
+        runs = []
+        for name, jobs in (("default", ()), ("jobs1", ("--jobs", 1)), ("jobs2", ("--jobs", 2))):
+            assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                       "--features", pipeline["features"], "--mfcc", "13",
+                       "--filters", 16, "--kernel", 5, "--lstm", 20, "--epochs", 2,
+                       "--dtype", dtype, "--seed", 11, *jobs, "--out", tmp_path / name) == 0
+            tree = tree_bytes(tmp_path / name)
+            run_doc = json.loads(tree.pop("M1-13_run.json"))
+            assert run_doc.pop("wall_time_s") > 0  # the one field that may differ
+            runs.append((tree, run_doc))
+        assert sorted(runs[0][0]) == [f"M1-13_fold{k}.model.json" for k in range(3)]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("jobs", [(), ("--jobs", 1), ("--jobs", 2)])
+    def test_failed_fold_exits_1(self, pipeline, tmp_path, capfd, jobs):
+        corpus = tmp_path / "ones"
+        shutil.copytree(pipeline["augmented"], corpus)
+        lines = (corpus / "manifest.jsonl").read_text().splitlines()
+        (corpus / "manifest.jsonl").write_text(
+            "".join(line + "\n" for line in lines if json.loads(line)["label"] == 1))
+        assert run("train", "--manifest", corpus / "manifest.jsonl",
+                   "--features", pipeline["features"], "--mfcc", "13",
+                   "--filters", 16, "--kernel", 5, "--lstm", 20, "--epochs", 1,
+                   *jobs, "--out", tmp_path / "run") == 1
+        err = capfd.readouterr().err  # file-descriptor level: the workers' output too
+        assert "error: training needs both labels, manifest has 24x1 / 0x0" in err
+        assert "Traceback" not in err
 
 
 class TestConfigFile:

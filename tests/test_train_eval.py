@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,9 @@ from convser.train_eval import (
     AdamState,
     ConfusionCounts,
     GridFailure,
+    MetricsReport,
     TrainConfig,
+    TrainResult,
     adam_step,
     average_metrics,
     clip_global_norm,
@@ -417,6 +420,76 @@ class TestCrossValidate:
                                    max_frames=6)
         report = cross_validate(model_config, config, features, manifest)
         assert len(report.fold_metrics) == 3
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_jobs_do_not_change_results(self, dtype):
+        manifest = toy_manifest(24)
+        features = toy_features(manifest)
+        config = TrainConfig(epochs=3, seed=5, n_shuffles=3, dtype=dtype)
+        model_config = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5,
+                                   max_frames=6)
+        serial = cross_validate(model_config, config, features, manifest, jobs=1)
+        pooled = cross_validate(model_config, config, features, manifest, jobs=2)
+        assert serial.fold_seeds == pooled.fold_seeds == [5, 6, 7]
+        assert serial.fold_counts == pooled.fold_counts
+        assert serial.histories == pooled.histories
+        assert serial.averaged == pooled.averaged
+        for fa, fb in zip(serial.folds, pooled.folds, strict=True):
+            assert (fa.train_ids, fa.val_ids) == (fb.train_ids, fb.val_ids)
+            for name in ModelParams.TENSOR_NAMES:
+                assert np.array_equal(getattr(fa.params, name), getattr(fb.params, name))
+
+    def test_failed_fold_raises_as_it_does_serially(self):
+        manifest = toy_manifest(12)
+        features = toy_features(manifest)[1:]  # one row short: every fold fails
+        config = TrainConfig(epochs=1, seed=5, n_shuffles=2)
+        model_config = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5,
+                                   max_frames=6)
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(ParameterError, match=r"\(11, 6, 5\).*\(12, 6, 5\)") as info:
+                cross_validate(model_config, config, features, manifest, jobs=jobs)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+
+def blas_thread_count(_=None):
+    """The thread count of the OpenBLAS that numpy has loaded into this process."""
+    lib, setter = train_eval._openblas_setter()
+    return getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in fold reaches the workers by fork")
+@pytest.mark.skipif(train_eval._openblas_setter() is None,
+                    reason="no OpenBLAS thread-count function in this process")
+def test_only_training_workers_run_one_blas_thread(monkeypatch):
+    def fold_reporting_threads(model_config, train_config, features, manifest):
+        return TrainResult(params=None, history={"blas_threads": blas_thread_count()},
+                           metrics=MetricsReport(1.0, 1.0, 1.0, 1.0), counts=ConfusionCounts(),
+                           train_ids=[], val_ids=[], seed=train_config.seed, wall_time_s=0.0)
+
+    monkeypatch.setattr(train_eval, "train_model", fold_reporting_threads)
+    before = blas_thread_count()
+    manifest = toy_manifest(12)
+    config = TrainConfig(n_shuffles=2)
+    model_config = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
+    run = cross_validate(model_config, config, toy_features(manifest), manifest, jobs=2)
+    assert [h["blas_threads"] for h in run.histories] == [1, 1]
+    cells = run_grid(config, {13: toy_features(manifest, width=13),
+                              40: toy_features(manifest, width=40)}, manifest, jobs=2)
+    assert [h["blas_threads"] for width in (13, 40) for cell in cells[width]
+            for h in cell.histories] == [1] * 32
+    # the pools of extract, synth and augment keep the inherited count
+    assert train_eval.map_tasks(blas_thread_count, [0, 1], 2) == [before, before]
+    assert blas_thread_count() == before
+
+
+def test_training_pool_without_openblas_warns_once_and_runs(monkeypatch, caplog):
+    monkeypatch.setattr(train_eval, "_openblas_setter", lambda: None)
+    assert train_eval.map_tasks(abs, [-1, -2, -3], 2, one_blas_thread=True) == [1, 2, 3]
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "no OpenBLAS thread-count function" in warnings[0].getMessage()
 
 
 class TestGrid:
