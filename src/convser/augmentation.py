@@ -155,24 +155,29 @@ def _apply_variant(buffer: AudioBuffer, kind: str, param, seed: int) -> AudioBuf
     raise ParameterError(f"unknown augmentation kind {kind!r}")
 
 
+def _planned_paths(src, rec_id, plan, out_dir):
+    """The files one record writes into out_dir: its copy (none when the
+    original is its own source) and one WAV per variant."""
+    dst = out_dir / f"{rec_id}.wav"
+    copy = [] if src.resolve() == dst.resolve() else [dst]
+    return copy + [out_dir / f"{rec_id}__{tag}.wav" for tag, _, _ in plan.variants()]
+
+
 def _augment_record(task):
     """Copy one original into out_dir and write its variants. Returns the
-    paths written and the failure that stopped the record (None if none did)."""
+    failure that stopped the record, or None."""
     src, rec_id, plan, out_dir = task
-    written = []
     try:
         dst = out_dir / f"{rec_id}.wav"
         if src.resolve() != dst.resolve():
             shutil.copyfile(src, dst)
-            written.append(dst)
         buffer = load_wav(src)
         for tag, kind, param in plan.variants():
             variant = _apply_variant(buffer, kind, param, derive_seed(plan.rng_seed, rec_id, tag))
-            written.append(out_dir / f"{rec_id}__{tag}.wav")
-            write_wav(variant, written[-1])
+            write_wav(variant, out_dir / f"{rec_id}__{tag}.wav")
     except Exception as exc:  # returned, so the files of every record can be removed
-        return written, exc
-    return written, None
+        return exc
+    return None
 
 
 def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
@@ -183,21 +188,23 @@ def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
     <original_id>__<tag>.wav, and every variant inherits the label and
     group_id of its original. Each original is one task; jobs > 1 runs them
     in worker processes, and every variant's noise seed derives from its own
-    id and tag, so the files are the same bytes as with one. On any failure
-    every file written is removed so no half-built corpus is left behind, and
-    the first record's failure is raised.
+    id and tag, so the files are the same bytes as with one. On any failure,
+    a worker's death included, every file the plan names is removed so no
+    half-built corpus is left behind, and the first record's failure (or the
+    worker's) is raised.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = map_tasks(_augment_record,
-                        [(manifest.resolve(rec), rec.id, plan, out_dir) for rec in manifest.records],
-                        jobs)
-    failures = [exc for _, exc in results if exc is not None]
-    if failures:
-        for written, _ in results:
-            for path in written:
+    tasks = [(manifest.resolve(rec), rec.id, plan, out_dir) for rec in manifest.records]
+    try:
+        failures = [exc for exc in map_tasks(_augment_record, tasks, jobs) if exc is not None]
+        if failures:
+            raise failures[0]
+    except Exception:
+        for task in tasks:
+            for path in _planned_paths(*task):
                 path.unlink(missing_ok=True)
-        raise failures[0]
+        raise
     records = []
     for rec in manifest.records:
         records.append(replace(rec, path=f"{rec.id}.wav"))

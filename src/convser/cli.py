@@ -274,8 +274,8 @@ def cmd_train(args) -> int:
     if not model_config.in_paper_grid:
         log.info("model config %s is outside the standard 16-cell grid", model_config)
 
-    result = train_eval.cross_validate(model_config, train_config, features, manifest,
-                                       jobs=args.jobs or _usable_cores())
+    jobs = args.jobs or train_eval.fold_workers(train_config.n_shuffles, _usable_cores())
+    result = train_eval.cross_validate(model_config, train_config, features, manifest, jobs=jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_run(result, out_dir, feature_config)
@@ -405,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="base random seed")
     common.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: one per usable core for synth, "
-                             "augment, train and grid; 1 for extract; evaluate, predict and "
+                             "augment and grid; for train, the fewest workers, at least one "
+                             "per usable core, that split the shuffles evenly, e.g. 3 for 3 "
+                             "shuffles on 2 cores; 1 for extract; evaluate, predict and "
                              "report run in one process); training workers run one BLAS "
                              "thread each")
 

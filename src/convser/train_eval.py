@@ -12,8 +12,10 @@ import ctypes
 import functools
 import logging
 import math
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
@@ -506,19 +508,47 @@ def _openblas_setter():
     return None
 
 
-def _pin_one_blas_thread():
-    """Pool initializer of training workers: one OpenBLAS thread each, so
-    that jobs workers keep jobs cores busy instead of oversubscribing them."""
-    _, setter = _openblas_setter()
-    setter(1)
+def fold_workers(n_folds: int, cores: int) -> int:
+    """Default worker count for n_folds equal-sized folds on cores cores: the
+    fewest workers w with min(cores, n_folds) <= w <= n_folds that divide the
+    folds evenly. 3 folds on 2 cores take 3 workers, which the OS shares out
+    so that no core idles through a lone last fold; 4 folds take 2."""
+    least = max(1, min(cores, n_folds))
+    return next((w for w in range(least, n_folds + 1) if n_folds % w == 0), 1)
+
+
+# (fn, tasks) of the pool this worker process belongs to, set by _start_worker
+_worker_job = None
+
+
+def _start_worker(fn, tasks, one_blas_thread):
+    """Pool initializer: keep the pool's fn and tasks, and with one_blas_thread
+    run OpenBLAS on one thread, so that jobs workers keep jobs cores busy
+    instead of oversubscribing them."""
+    global _worker_job
+    _worker_job = fn, tasks
+    if one_blas_thread:
+        _, setter = _openblas_setter()
+        setter(1)
+
+
+def _run_task(index):
+    fn, tasks = _worker_job
+    return fn(tasks[index])
 
 
 def map_tasks(fn, tasks, jobs: int, one_blas_thread: bool = False) -> list:
     """[fn(task) for task in tasks], in order: in this process when jobs <= 1,
-    else in a pool of up to jobs worker processes, for which fn must be a
-    module-level function. When fn raises, the first failed task's exception
-    reaches the caller with its type and message either way; callers that
-    must keep the other tasks' results have fn return its failure instead.
+    else in a pool of up to jobs worker processes. When fn raises, the first
+    failed task's exception reaches the caller with its type and message
+    either way; callers that must keep the other tasks' results have fn
+    return its failure instead. A worker that dies (killed, or out of memory)
+    raises ConvserError naming fn.
+
+    Workers are forked where the platform allows it: they inherit fn and the
+    tasks, so neither needs to be picklable, and only task indices and
+    results cross the pipes. Elsewhere fn and tasks must be picklable and are
+    sent once per worker, not once per task.
 
     one_blas_thread=True runs each worker's OpenBLAS on one thread. Training
     results do not depend on the thread count, but the feature stores' bytes
@@ -527,15 +557,21 @@ def map_tasks(fn, tasks, jobs: int, one_blas_thread: bool = False) -> list:
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    initializer = None
-    if one_blas_thread:
-        if _openblas_setter() is None:
-            log.warning("no OpenBLAS thread-count function found; each of %d training "
-                        "workers runs BLAS with its default thread count", workers)
-        else:
-            initializer = _pin_one_blas_thread
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer) as pool:
-        return list(pool.map(fn, tasks))
+    if one_blas_thread and _openblas_setter() is None:
+        log.warning("no OpenBLAS thread-count function found; each of %d training "
+                    "workers runs BLAS with its default thread count", workers)
+        one_blas_thread = False
+    # fork is named, not left to the default: Python 3.14 defaults to forkserver
+    fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(fork),
+                                 initializer=_start_worker,
+                                 initargs=(fn, tasks, one_blas_thread)) as pool:
+            return list(pool.map(_run_task, range(len(tasks))))
+    except BrokenProcessPool as exc:
+        name = getattr(fn, "__name__", repr(fn))
+        raise ConvserError(f"{name}: a worker process ended abruptly "
+                           "(killed or out of memory)") from exc
 
 
 def _run_cell(task):

@@ -18,11 +18,12 @@ from convser.cli import _usable_cores, main as cli_main
 from convser.dsp_features import FeatureConfig, dct_matrix, extract_features, fft_power_spectrum
 from convser.neural_net import ModelConfig, init_params, model_backward, model_forward
 from convser.synth_data import SynthSpec, generate_corpus, measure_separability
-from convser.train_eval import TrainConfig, confusion, cross_validate, metrics
+from convser.train_eval import TrainConfig, confusion, cross_validate, fold_workers, metrics
 
 FIXTURE = Path(__file__).parent / "fixtures" / "results_40_reference.csv"
-# C6 and C7 train their three folds in parallel; the results do not depend on it
-FOLD_JOBS = min(3, _usable_cores())
+# C6 and C7 train their three folds in parallel with `convser train`'s default
+# worker count; the results do not depend on it
+FOLD_JOBS = fold_workers(3, _usable_cores())
 
 
 def report_line(name, ok, detail):

@@ -1,11 +1,14 @@
 import json
+import multiprocessing
+import os
 import shutil
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from convser import cli, neural_net, train_eval
+from convser import augmentation, cli, neural_net, train_eval
 from convser.audio_io import load_manifest, load_wav
 from convser.cli import main
 from convser.dsp_features import extract_features, load_features
@@ -92,7 +95,8 @@ class TestJobs:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_train_files_do_not_depend_on_jobs(self, pipeline, tmp_path, dtype):
         runs = []
-        for name, jobs in (("default", ()), ("jobs1", ("--jobs", 1)), ("jobs2", ("--jobs", 2))):
+        for name, jobs in (("default", ()), ("jobs1", ("--jobs", 1)), ("jobs2", ("--jobs", 2)),
+                           ("jobs3", ("--jobs", 3))):
             assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
                        "--features", pipeline["features"], "--mfcc", "13",
                        "--filters", 16, "--kernel", 5, "--lstm", 20, "--epochs", 2,
@@ -102,7 +106,7 @@ class TestJobs:
             assert run_doc.pop("wall_time_s") > 0  # the one field that may differ
             runs.append((tree, run_doc))
         assert sorted(runs[0][0]) == [f"M1-13_fold{k}.model.json" for k in range(3)]
-        assert runs[0] == runs[1] == runs[2]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
 
     @pytest.mark.parametrize("jobs", [(), ("--jobs", 1), ("--jobs", 2)])
     def test_failed_fold_exits_1(self, pipeline, tmp_path, capfd, jobs):
@@ -118,6 +122,28 @@ class TestJobs:
         err = capfd.readouterr().err  # file-descriptor level: the workers' output too
         assert "error: training needs both labels, manifest has 24x1 / 0x0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the stand-in record reaches the workers by fork")
+    def test_killed_worker_exits_1_and_augment_removes_its_files(self, pipeline, tmp_path,
+                                                                 capfd, monkeypatch):
+        augment_record = augmentation._augment_record
+
+        def killed_after_writing(task):
+            result = augment_record(task)
+            if task[1] == "synth003" and multiprocessing.parent_process() is not None:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return result
+
+        monkeypatch.setattr(augmentation, "_augment_record", killed_after_writing)
+        out = tmp_path / "aug"
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--seed", 7, "--jobs", 2, "--out", out) == 1
+        err = capfd.readouterr().err
+        assert ("error: killed_after_writing: a worker process ended abruptly "
+                "(killed or out of memory)") in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestConfigFile:

@@ -1,5 +1,8 @@
 import math
 import multiprocessing
+import os
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -490,6 +493,38 @@ def test_training_pool_without_openblas_warns_once_and_runs(monkeypatch, caplog)
     assert train_eval.map_tasks(abs, [-1, -2, -3], 2, one_blas_thread=True) == [1, 2, 3]
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and "no OpenBLAS thread-count function" in warnings[0].getMessage()
+
+
+@pytest.mark.parametrize("n_folds, cores, workers",
+                         [(3, 2, 3), (4, 2, 2), (3, 1, 1), (1, 4, 1), (3, 8, 3), (6, 4, 6)])
+def test_fold_workers_split_the_folds_evenly(n_folds, cores, workers):
+    assert train_eval.fold_workers(n_folds, cores) == workers
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="unpicklable tasks reach the workers by fork only")
+def test_pooled_tasks_are_not_pickled():
+    lock = threading.Lock()
+    tasks = [(lock, lambda k=k: k * k) for k in range(5)]  # neither pickles
+
+    def square_and_pid(task):
+        return task[1]() + task[0].locked(), os.getpid()
+
+    pooled = train_eval.map_tasks(square_and_pid, tasks, 2)
+    assert [value for value, _ in pooled] == [square_and_pid(t)[0] for t in tasks]
+    assert os.getpid() not in {pid for _, pid in pooled}
+
+
+def kill_own_worker(task):
+    if task == 1 and multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+def test_killed_worker_raises_convser_error():
+    with pytest.raises(ConvserError, match=r"^kill_own_worker: a worker process ended "
+                                           r"abruptly \(killed or out of memory\)$"):
+        train_eval.map_tasks(kill_own_worker, [0, 1, 2], 2)
 
 
 class TestGrid:
