@@ -17,6 +17,25 @@ gradient of all gates as one product, from gate factors computed once before
 the loop. Every multiplication keeps the operands and order of the per-gate
 form, so traces and gradients are bit-identical to it (the per-gate form is
 the reference in the tests).
+
+Samples are zero-padded at the tail to a fixed frame count, and the products
+skip that padding. The convolution, its ReLU and the LSTM input projection
+run over the frames before the batch's trailing all-zero frames only, and
+the input gradient dflat over the frames before the ReLU mask's trailing
+inactive frames only (padding is inactive unless some conv_b > 0). An
+all-zero frame's product row is exactly +0 for finite weights, so skipped
+frames get the bias terms a full-size product gives them (0 + conv_b, its
+ReLU, 0 + lstm_b) and dpre rows of zero. The two products that sum over the
+B*T rows, the lstm_w and conv_w gradients, stay full-size, as fewer rows
+would change how BLAS blocks the sum; the LSTM step loops run all T steps.
+The bits equal the full-size form's as long as each shorter product runs
+the same BLAS kernel. OpenBLAS on AVX-512 rounds a small product with a
+small-matrix kernel, so _live_frames skips padding only when the live
+frames keep at least 16 rows, and only when the padding is at least a
+quarter of the frames, where skipping pays. With OpenBLAS 0.3.31 every grid
+shape then keeps its kernel; a BLAS that draws the small-kernel line
+elsewhere may give a batch of a few samples other last bits than the
+full-size form. Every run still repeats its own bits.
 """
 
 from __future__ import annotations
@@ -194,9 +213,64 @@ def _check_batch(x):
     return x
 
 
+def _live_frames(x):
+    """The number n of leading frames the products of a (B, T, ...) batch run
+    over: the frames before its trailing all-zero frames, x[:, n:] being zero
+    in every sample, when those number at least T // 4 and the n live frames
+    hold no rows or at least 16 (B * n); otherwise n = T.
+
+    Skipping costs a copy of the live rows and fresh arrays for the results;
+    on C6-shaped M8-40 batches (T = 60) it paid from about 8 skipped frames
+    on, so a batch with less padding runs full-size, as if it had none. Below
+    16 rows OpenBLAS (0.3.31, AVX-512) can send the input projection
+    x @ lstm_w.T of a grid shape to its small-matrix kernel (up to 15 rows at
+    20 LSTM units, 4 at M8-40), which rounds differently from the blocked
+    kernel of the full-size product. Frame T - T // 4 is read first, as it
+    is usually live when there is too little padding; then the scan runs back
+    from the last frame in blocks of 1, 2, 4, ... frames, and stops at the
+    first block with a non-zero value."""
+    x = x.reshape(x.shape[0], x.shape[1], -1)
+    t = x.shape[1]
+    limit = t - t // 4  # frames limit.. must all be zero for any to be skipped
+    if x[:, limit:limit + 1].any():
+        return t
+    end, size = t, 1
+    while end > 0:
+        start = max(end - size, 0)
+        block = x[:, start:end]
+        if block.any():
+            end = start + 1 + int(np.flatnonzero(block.any(axis=(0, 2)))[-1])
+            break
+        end, size = start, 2 * size
+    return t if end > limit or 0 < x.shape[0] * end < 16 else end
+
+
+def _add_bias(rows, bias, t):
+    """product + bias over a (B, t, ...) batch whose frames n.. are zero in
+    every sample, given the product rows of its first n frames, (B, n, ...).
+
+    A zero frame's product row is exactly +0, so frames n.. hold 0 + bias,
+    the bits a full-size product gives them. Adds in place when n == t, so a
+    batch without padding costs what the full-size product costs."""
+    b, n = rows.shape[:2]
+    if n == t:
+        rows += bias
+        return rows
+    out = np.empty((b, t) + rows.shape[2:], rows.dtype)
+    np.add(rows, bias, out=out[:, :n])
+    out[:, n:] = np.zeros((), rows.dtype) + bias
+    return out
+
+
 def lstm_forward(inputs, params: ModelParams):
     """Run the LSTM over all timesteps from h0 = c0 = 0, returning the final
-    hidden state and the per-step quantities needed for backprop."""
+    hidden state and the per-step quantities needed for backprop.
+
+    The input projection is one GEMM over the frames before the input's own
+    trailing all-zero frames (when they are at least a quarter of the
+    frames, see _live_frames); those frames get 0 + lstm_b (see _add_bias).
+    With ReLU inputs that is the batch's padding unless some conv_b > 0.
+    The step loop runs all timesteps."""
     x = _check_batch(inputs)
     b, t, d = x.shape
     u = params.config.lstm_units
@@ -204,8 +278,9 @@ def lstm_forward(inputs, params: ModelParams):
         raise ParameterError(f"lstm input width {d} != weight width {params.lstm_w.shape[1]}")
 
     dtype = params.lstm_w.dtype
-    # one GEMM for the input projection of every timestep
-    xw = (x.reshape(b * t, d) @ params.lstm_w.T).reshape(b, t, 4 * u) + params.lstm_b
+    n = _live_frames(x)
+    xw = _add_bias((x[:, :n].reshape(b * n, d) @ params.lstm_w.T).reshape(b, n, 4 * u),
+                   params.lstm_b, t)
 
     gates = np.empty((t, 4, b, u), dtype=dtype)
     cell = np.empty((t, b, u), dtype=dtype)
@@ -236,12 +311,19 @@ def model_forward(features, params: ModelParams):
         raise ParameterError(
             f"feature width {m} != model n_mfcc {params.config.n_mfcc}"
         )
-    k = params.config.kernel_size
+    k, filters = params.config.kernel_size, params.config.filters
     windows = _conv_windows(x, k)
-    conv_pre = (windows.reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, t, m, -1)
-    conv_pre += params.conv_b
+    # the convolution and ReLU run over the frames before the batch's trailing
+    # all-zero frames (see _live_frames); those frames hold 0 + conv_b and its ReLU
+    n = _live_frames(x)
+    conv_pre = _add_bias(
+        (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters),
+        params.conv_b, t)
+    relu = np.empty_like(conv_pre)
+    np.maximum(conv_pre[:, :n], 0.0, out=relu[:, :n])
+    relu[:, n:] = np.maximum(conv_pre[:1, n:n + 1], 0.0)
     # row-major flatten of each timestep: coefficient outer, filter inner
-    flat = np.maximum(conv_pre, 0.0).reshape(b, t, m * params.config.filters)
+    flat = relu.reshape(b, t, m * filters)
     h_final, lstm_cache = lstm_forward(flat, params)
     logit = h_final @ params.dense_w + params.dense_b
     prob = _clamp_prob(_sigmoid(logit))
@@ -321,15 +403,24 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
         dc = dc * f
     del act, slope, dtanh_cell  # freed before the large products below, to keep peak memory
 
-    # input projections of all timesteps reduce to single GEMMs
+    # input projections of all timesteps reduce to single GEMMs; the two
+    # reductions over B*T rows (lstm_w here, conv_w below) stay full-size,
+    # since fewer rows would change how BLAS blocks the sum
     dz_flat = dz_all.transpose(1, 0, 2).reshape(b * t, 4 * u)
     lstm_w = dz_flat.T @ trace.flat.reshape(b * t, -1)
     lstm_b = dz_flat.sum(axis=0)
-    dflat = (dz_flat @ params.lstm_w).reshape(b, t, -1)
 
-    # flatten -> ReLU mask -> convolution
+    # flatten -> ReLU mask -> convolution. dflat reaches dpre only through an
+    # active ReLU unit: it is computed for the frames before the mask's
+    # trailing inactive frames (see _live_frames; padding is inactive unless
+    # some conv_b > 0), and dpre is zero after them
     k, _, filters = params.conv_w.shape
-    dpre = dflat.reshape(b, t, m, filters) * (trace.conv_pre > 0.0)
+    mask = trace.conv_pre > 0.0
+    n = _live_frames(mask)
+    dflat = dz_flat.reshape(b, t, 4 * u)[:, :n].reshape(b * n, 4 * u) @ params.lstm_w
+    dpre = np.empty((b, t, m, filters), dtype=dflat.dtype)
+    np.multiply(dflat.reshape(b, n, m, filters), mask[:, :n], out=dpre[:, :n])
+    dpre[:, n:] = 0.0
     conv_w = trace.windows.transpose(3, 0, 1, 2).reshape(k, -1) @ dpre.reshape(-1, filters)
     grads = {
         "conv_w": conv_w.reshape(k, 1, filters),

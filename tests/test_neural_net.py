@@ -20,7 +20,7 @@ from convser.neural_net import (
     model_forward,
     save_model,
 )
-from convser.neural_net import _sigmoid
+from convser.neural_net import _live_frames, _sigmoid
 
 TINY = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
 
@@ -204,6 +204,40 @@ M1_13 = ModelConfig(filters=16, kernel_size=5, lstm_units=20, n_mfcc=13, max_fra
 M8_40 = ModelConfig(filters=32, kernel_size=20, lstm_units=40, n_mfcc=40, max_frames=20)
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_mismatches(x, y, params, same=same_bits):
+    """Names of the trace arrays and gradients that differ from the reference."""
+    _, trace = model_forward(x, params)
+    expected = reference_forward(x, params)
+    bad = [name for name, want in expected.items() if not same(getattr(trace, name), want)]
+    grads = model_backward(trace, y, params)
+    bad += [f"d{name}" for name, want in reference_backward(expected, y, params).items()
+            if not same(getattr(grads, name), want)]
+    return bad
+
+
+def padded_batch(config, batch, longest, dtype, seed):
+    """A batch zero-padded at the tail: the last sample has `longest` valid
+    frames, the first (when there are two or more) none, the others 1..longest."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (batch, config.max_frames, config.n_mfcc)).astype(dtype)
+    lengths = rng.integers(1, longest + 1, batch)
+    lengths[0], lengths[-1] = 0, longest
+    for row, length in zip(x, lengths):
+        row[length:] = 0.0
+    return x
+
+
+def conv_bias(params, kind):
+    """params with conv_b as initialised (zero) or with entries of both signs."""
+    params.conv_b[...] = 0.0 if kind == "zero" else np.linspace(-0.3, 0.3, params.conv_b.size)
+    return params
+
+
 class TestMatchesPerGateReference:
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("batch", [1, 16])
@@ -213,15 +247,64 @@ class TestMatchesPerGateReference:
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, (batch, config.max_frames, config.n_mfcc)).astype(dtype)
         y = (np.arange(batch) % 2).astype(dtype)
-        _, trace = model_forward(x, params)
-        expected = reference_forward(x, params)
-        for name, want in expected.items():
-            got = getattr(trace, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        grads = model_backward(trace, y, params)
-        for name, want in reference_backward(expected, y, params).items():
-            got = getattr(grads, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert reference_mismatches(x, y, params) == []
+
+    # The padded batches skip the product rows of their trailing zero frames
+    # (all but longest = 20 and 16, whose padding is under a quarter of the 20
+    # frames). At B = 16 every product keeps the kernel the full-size
+    # reference uses, so the bits must match, sign of zero included.
+    @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    @pytest.mark.parametrize("longest", [20, 16, 13, 4, 1])
+    def test_tail_padded_batch_bit_identical(self, config, dtype, bias, longest):
+        params = conv_bias(random_params(config, 7), bias).astype(dtype)
+        x = padded_batch(config, 16, longest, dtype, seed=longest)
+        y = (np.arange(16) % 2).astype(dtype)
+        assert reference_mismatches(x, y, params) == []
+
+    @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    def test_all_zero_batch_bit_identical(self, config, dtype, bias):
+        params = conv_bias(random_params(config, 7), bias).astype(dtype)
+        x = np.zeros((16, config.max_frames, config.n_mfcc), dtype)
+        y = (np.arange(16) % 2).astype(dtype)
+        assert reference_mismatches(x, y, params) == []
+
+    @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    def test_interior_zero_frames_bit_identical(self, config, dtype, bias):
+        # zero frames 3..9 in every sample, then live frames 10..14, then padding:
+        # only the trailing frames may be skipped
+        params = conv_bias(random_params(config, 7), bias).astype(dtype)
+        x = padded_batch(config, 16, 15, dtype, seed=3)
+        x[:, 3:10] = 0.0
+        x[2, 14] = 0.5
+        y = (np.arange(16) % 2).astype(dtype)
+        assert reference_mismatches(x, y, params) == []
+
+    # At B = 1 and B = 4 a product over the live rows can be small enough for
+    # OpenBLAS on AVX-512 to take its small-matrix kernel, which rounds
+    # differently from the blocked kernel of the full-size reference. The
+    # 16-row floor of _live_frames keeps the grid shapes off it with OpenBLAS
+    # 0.3.31, but where a BLAS draws that line is its own choice, so these
+    # batches are held to the last few bits only.
+    @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    @pytest.mark.parametrize("batch", [1, 4])
+    def test_small_padded_batch_close(self, config, dtype, bias, batch):
+        params = conv_bias(random_params(config, 7), bias).astype(dtype)
+        x = padded_batch(config, batch, 6, dtype, seed=batch)
+        y = (np.arange(batch) % 2).astype(dtype)
+        rtol = 1e-4 if dtype == np.float32 else 1e-10
+
+        def close(got, want):
+            return got.dtype == want.dtype and np.allclose(got, want, rtol=rtol, atol=rtol * 1e-2)
+
+        assert reference_mismatches(x, y, params, same=close) == []
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_edge_values(self, dtype):
@@ -234,6 +317,43 @@ class TestMatchesPerGateReference:
         # NaN stays NaN; its sign bit is not part of the contract
         assert np.array_equal(got, want, equal_nan=True)
         assert got[0] == got[1] == 0.5 and got[4] == 1.0 and got[5] == 0.0
+
+
+class TestLiveFrames:
+    def test_trailing_zero_frames_are_skipped(self):
+        x = np.ones((3, 20, 4))
+        x[:, 9:] = 0.0
+        x[1, 9:12] = -0.5  # one sample is longer
+        assert _live_frames(x) == 12
+
+    def test_interior_zero_frames_are_kept(self):
+        x = np.ones((2, 20, 4))
+        x[:, 2:8] = 0.0
+        x[:, 10:] = 0.0
+        assert _live_frames(x) == 10
+
+    def test_fewer_than_16_live_rows_run_full_size(self):
+        x = np.zeros((3, 20, 4))
+        x[:, :5] = 1.0
+        assert _live_frames(x) == 20
+        x[:, 5] = 1.0
+        assert _live_frames(x) == 6
+
+    def test_padding_under_a_quarter_runs_full_size(self):
+        x = np.ones((2, 20, 4))
+        x[:, 16:] = 0.0
+        assert _live_frames(x) == 20
+        x[:, 15:] = 0.0
+        assert _live_frames(x) == 15
+
+    def test_all_zero_and_unpadded_batches(self):
+        assert _live_frames(np.zeros((2, 20, 4))) == 0
+        assert _live_frames(np.ones((2, 20, 4))) == 20
+
+    def test_reads_any_trailing_axes(self):
+        mask = np.zeros((4, 8, 3, 2), dtype=bool)
+        mask[0, 4, 1, 1] = True
+        assert _live_frames(mask) == 5
 
 
 class TestConv:
@@ -477,18 +597,16 @@ class TestBackward:
         assert np.all(grads.conv_w == 0.0)
         assert np.all(grads.conv_b == 0.0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_finite_difference_gradients(self, seed):
-        params = random_params(TINY, 100 + seed)
-        rng = np.random.default_rng(200 + seed)
-        x = rng.uniform(-1, 1, (2, 6, 5))
-        y = rng.integers(0, 2, 2).astype(float)
+    @staticmethod
+    def worst_fd_error(params, x, y, names=ModelParams.TENSOR_NAMES):
+        """Largest relative error of the analytic gradient of the named tensors
+        against a central difference of the mean loss."""
         _, trace = model_forward(x, params)
         grads = model_backward(trace, y, params)
 
         h = 1e-5
         worst = 0.0
-        for name in params.TENSOR_NAMES:
+        for name in names:
             tensor = getattr(params, name)
             grad = np.atleast_1d(np.asarray(getattr(grads, name)))
             flat = tensor.reshape(-1)
@@ -502,7 +620,35 @@ class TestBackward:
                 fd = (up - down) / (2 * h)
                 rel = abs(grad.reshape(-1)[idx] - fd) / max(1e-8, abs(fd))
                 worst = max(worst, rel)
-        assert worst <= 1e-4
+        return worst
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_finite_difference_gradients(self, seed):
+        params = random_params(TINY, 100 + seed)
+        rng = np.random.default_rng(200 + seed)
+        x = rng.uniform(-1, 1, (2, 6, 5))
+        y = rng.integers(0, 2, 2).astype(float)
+        assert self.worst_fd_error(params, x, y) <= 1e-4
+
+    @pytest.mark.parametrize("bias", ["zero", "positive"])
+    def test_finite_difference_gradients_tail_padded(self, bias):
+        # frames 3.. are padding in both samples (frames 2.. in the second):
+        # their dflat is skipped unless some conv_b > 0 opens the ReLU there
+        params = random_params(TINY, 110)
+        rng = np.random.default_rng(210)
+        x = rng.uniform(-1, 1, (2, 6, 5))
+        x[:, 3:] = 0.0
+        x[1, 2:] = 0.0
+        y = np.array([1.0, 0.0])
+        names = ModelParams.TENSOR_NAMES
+        if bias == "zero":
+            # conv_b = 0 puts the padding's pre-activations on the ReLU kink,
+            # where a central difference averages the two one-sided slopes
+            params.conv_b[...] = 0.0
+            names = tuple(name for name in names if name != "conv_b")
+        else:
+            params.conv_b[...] = [0.2, 0.4]
+        assert self.worst_fd_error(params, x, y, names) <= 1e-4
 
     def test_gradient_shapes_match_params(self):
         params = random_params(TINY, 15)
