@@ -152,17 +152,20 @@ def load_wav(path) -> AudioBuffer:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise UnsupportedCodecError(f"{path}: {channels} channels (only mono/stereo)")
-    if audio_format == _PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if not np.isfinite(samples).all():
-            raise FormatError(f"{path}: non-finite float samples")
-    else:
+    if (audio_format, bits) not in ((_PCM, 16), (_IEEE_FLOAT, 32)):
         raise UnsupportedCodecError(
             f"{path}: format tag {audio_format} at {bits} bits is not supported "
             "(expect PCM-16 or IEEE float-32)"
         )
+    if len(data) % (bits // 8):
+        raise FormatError(f"{path}: data chunk of {len(data)} bytes is not a whole number "
+                          f"of {bits}-bit samples")
+    if audio_format == _PCM:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise FormatError(f"{path}: non-finite float samples")
 
     if channels == 2:
         if len(samples) % 2:

@@ -164,20 +164,15 @@ def _planned_paths(src, rec_id, plan, out_dir):
 
 
 def _augment_record(task):
-    """Copy one original into out_dir and write its variants. Returns the
-    failure that stopped the record, or None."""
+    """Copy one original into out_dir and write its variants."""
     src, rec_id, plan, out_dir = task
-    try:
-        dst = out_dir / f"{rec_id}.wav"
-        if src.resolve() != dst.resolve():
-            shutil.copyfile(src, dst)
-        buffer = load_wav(src)
-        for tag, kind, param in plan.variants():
-            variant = _apply_variant(buffer, kind, param, derive_seed(plan.rng_seed, rec_id, tag))
-            write_wav(variant, out_dir / f"{rec_id}__{tag}.wav")
-    except Exception as exc:  # returned, so the files of every record can be removed
-        return exc
-    return None
+    dst = out_dir / f"{rec_id}.wav"
+    if src.resolve() != dst.resolve():
+        shutil.copyfile(src, dst)
+    buffer = load_wav(src)
+    for tag, kind, param in plan.variants():
+        variant = _apply_variant(buffer, kind, param, derive_seed(plan.rng_seed, rec_id, tag))
+        write_wav(variant, out_dir / f"{rec_id}__{tag}.wav")
 
 
 def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
@@ -197,9 +192,7 @@ def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(manifest.resolve(rec), rec.id, plan, out_dir) for rec in manifest.records]
     try:
-        failures = [exc for exc in map_tasks(_augment_record, tasks, jobs) if exc is not None]
-        if failures:
-            raise failures[0]
+        map_tasks(_augment_record, tasks, jobs)
     except Exception:
         for task in tasks:
             for path in _planned_paths(*task):

@@ -23,8 +23,8 @@ import numpy as np
 from . import augmentation, dsp_features, report, synth_data, train_eval
 from .audio_io import load_manifest, load_wav, save_manifest
 from .exceptions import ConvserError, FormatError, ParameterError
-from .neural_net import GRID_WIDTHS, ModelConfig, load_model, model_forward, save_model
-from .train_eval import TrainConfig
+from .neural_net import ModelConfig, load_model, model_forward, save_model
+from .train_eval import GRID_WIDTHS, TrainConfig
 
 log = logging.getLogger("convser")
 
@@ -102,43 +102,23 @@ def _load_config_file(path):
     return doc
 
 
-def _feature_config(args, cfg, width):
-    kwargs = dict(cfg.get("feature", {}))
-    for flag in ("frame_len", "hop", "max_frames", "n_mels"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[flag] = value
-    return dsp_features.FeatureConfig(n_mfcc=width, **kwargs)
+# {argparse dest: field} of the flags that override each section's --config keys
+SYNTH_FLAGS = {"n": "n_originals", "duration": "duration_s", "seed": "seed"}
+PLAN_FLAGS = {"seed": "rng_seed"}
+FEATURE_FLAGS = {name: name for name in ("frame_len", "hop", "max_frames", "n_mels")}
+TRAIN_FLAGS = {name: name for name in ("epochs", "batch_size", "learning_rate", "split_mode",
+                                       "n_shuffles", "dtype", "seed")}
+MODEL_FLAGS = {"filters": "filters", "kernel": "kernel_size", "lstm": "lstm_units"}
 
 
-def _train_config(args, cfg):
-    kwargs = dict(cfg.get("train", {}))
-    for flag in ("epochs", "batch_size", "learning_rate", "split_mode", "n_shuffles", "dtype"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[flag] = value
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return TrainConfig(**kwargs)
-
-
-def _augmentation_plan(args, cfg):
-    plan = augmentation.AugmentationPlan(**cfg.get("plan", {}))
-    if getattr(args, "seed", None) is not None:
-        plan = replace(plan, rng_seed=args.seed)
-    n = getattr(args, "variants", None)
-    if n is None:
-        return plan
-    if n < 0:
-        raise ParameterError(f"--variants must be >= 0, got {n}")
-    kept = plan.variants()[:n]
-    return replace(
-        plan,
-        time_stretch_rates=tuple(p for _, k, p in kept if k == "time_stretch"),
-        pitch_shift_semitones=tuple(p for _, k, p in kept if k == "pitch_shift"),
-        noise_snrs_db=tuple(p for _, k, p in kept if k == "noise"),
-        combined=any(k == "combined" for _, k, _ in kept),
-    )
+def _settings(cls, cfg, section, args, flags, **fixed):
+    """cls built from the --config section, each flag given on the command
+    line overriding the field flags maps it to, and the fixed fields."""
+    kwargs = dict(cfg.get(section, {}))
+    for dest, name in flags.items():
+        if getattr(args, dest) is not None:
+            kwargs[name] = getattr(args, dest)
+    return cls(**kwargs, **fixed)
 
 
 def _usable_cores() -> int:
@@ -170,14 +150,8 @@ def _model_feature_config(path, extra) -> dsp_features.FeatureConfig:
 
 def cmd_synth(args) -> int:
     cfg = _load_config_file(args.config)
-    kwargs = dict(cfg.get("synth", {}))
-    if args.n is not None:
-        kwargs["n_originals"] = args.n
-    if args.duration is not None:
-        kwargs["duration_s"] = args.duration
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    spec = synth_data.SynthSpec.null(**kwargs) if args.null else synth_data.SynthSpec(**kwargs)
+    spec_class = synth_data.SynthSpec.null if args.null else synth_data.SynthSpec
+    spec = _settings(spec_class, cfg, "synth", args, SYNTH_FLAGS)
     manifest = synth_data.generate_corpus(spec, args.out, jobs=args.jobs or _usable_cores())
     counts = manifest.label_counts()
     print(f"wrote {len(manifest)} files to {args.out} "
@@ -187,7 +161,18 @@ def cmd_synth(args) -> int:
 
 def cmd_augment(args) -> int:
     cfg = _load_config_file(args.config)
-    plan = _augmentation_plan(args, cfg)
+    plan = _settings(augmentation.AugmentationPlan, cfg, "plan", args, PLAN_FLAGS)
+    if args.variants is not None:
+        if args.variants < 0:
+            raise ParameterError(f"--variants must be >= 0, got {args.variants}")
+        kept = plan.variants()[: args.variants]
+        plan = replace(
+            plan,
+            time_stretch_rates=tuple(p for _, k, p in kept if k == "time_stretch"),
+            pitch_shift_semitones=tuple(p for _, k, p in kept if k == "pitch_shift"),
+            noise_snrs_db=tuple(p for _, k, p in kept if k == "noise"),
+            combined=any(k == "combined" for _, k, _ in kept),
+        )
     manifest = load_manifest(args.manifest)
     merged = augmentation.augment_dataset(manifest, plan, args.out,
                                           jobs=args.jobs or _usable_cores())
@@ -225,7 +210,8 @@ def cmd_extract(args) -> int:
     for width in widths:
         # rows of another config are dropped; ids outside this manifest are kept
         stores[width], fresh[width] = dsp_features.cached_features_fresh(
-            args.out, _feature_config(args, cfg, width), hashes)
+            args.out, _settings(dsp_features.FeatureConfig, cfg, "feature", args,
+                                FEATURE_FLAGS, n_mfcc=width), hashes)
         stale[width] = set(hashes) - fresh[width]
     # each record is read and transformed once for all the widths it lacks
     tasks, records = [], []
@@ -259,19 +245,13 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
-    train_config = _train_config(args, cfg)
+    train_config = _settings(TrainConfig, cfg, "train", args, TRAIN_FLAGS)
     manifest = load_manifest(args.manifest)
     width = int(args.mfcc)
     feature_config, features = _load_feature_store(args.features, width, manifest)
-    model_kwargs = dict(cfg.get("model", {}))
-    for flag, key in (("filters", "filters"), ("kernel", "kernel_size"), ("lstm", "lstm_units")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            model_kwargs[key] = value
-    model_kwargs["n_mfcc"] = width
-    model_kwargs["max_frames"] = feature_config.max_frames
-    model_config = ModelConfig(**model_kwargs)
-    if not model_config.in_paper_grid:
+    model_config = _settings(ModelConfig, cfg, "model", args, MODEL_FLAGS, n_mfcc=width,
+                             max_frames=feature_config.max_frames)
+    if train_eval.grid_model_id(model_config).startswith("custom-"):
         log.info("model config %s is outside the standard 16-cell grid", model_config)
 
     jobs = args.jobs or train_eval.fold_workers(train_config.n_shuffles, _usable_cores())
@@ -279,13 +259,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _save_run(result, out_dir, feature_config)
-    avg = result.averaged
-    print(
-        f"{result.model_id}: accuracy {report.format_percent(avg.accuracy)}, "
-        f"precision {report.format_percent(avg.precision)}, "
-        f"sensitivity {report.format_percent(avg.sensitivity)}, "
-        f"f1 {report.format_percent(avg.f1)}"
-    )
+    print(f"{result.model_id}: {report.format_metrics(result.averaged)}")
     return 0
 
 
@@ -304,7 +278,7 @@ def _save_run(result, out_dir, feature_config) -> None:
 
 def cmd_grid(args) -> int:
     cfg = _load_config_file(args.config)
-    train_config = _train_config(args, cfg)
+    train_config = _settings(TrainConfig, cfg, "train", args, TRAIN_FLAGS)
     manifest = load_manifest(args.manifest)
     configs, features = {}, {}
     for width in GRID_WIDTHS:
@@ -317,33 +291,27 @@ def cmd_grid(args) -> int:
     for width in GRID_WIDTHS:
         report.write_results_csv(results[width], out_dir / f"results_{width}.csv")
 
+    cells = []
+    for width in GRID_WIDTHS:
+        for r in results[width]:
+            ok = not isinstance(r, train_eval.GridFailure)
+            cells.append({"model_id": r.model_id, "status": "ok" if ok else "failed",
+                          "error": None if ok else r.error,
+                          "fold_seeds": r.fold_seeds if ok else None,
+                          "wall_time_s": r.wall_time_s if ok else None})
     run_manifest = {
         "seed": train_config.seed,
         "train_config": asdict(train_config),
         "wall_time_s": time.perf_counter() - started,
-        "cells": [
-            {
-                "model_id": r.model_id,
-                "status": "failed" if isinstance(r, train_eval.GridFailure) else "ok",
-                "error": r.error if isinstance(r, train_eval.GridFailure) else None,
-                "fold_seeds": None if isinstance(r, train_eval.GridFailure) else r.fold_seeds,
-                "wall_time_s": None if isinstance(r, train_eval.GridFailure) else r.wall_time_s,
-            }
-            for width in GRID_WIDTHS
-            for r in results[width]
-        ],
+        "cells": cells,
         "feature_config_hashes": {
             str(width): dsp_features.config_hash(config) for width, config in configs.items()
         },
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(run_manifest, indent=2) + "\n")
 
-    n_failed = sum(1 for width in GRID_WIDTHS for r in results[width]
-                   if isinstance(r, train_eval.GridFailure))
-    n_runs = sum(
-        len(r.fold_seeds) for width in GRID_WIDTHS for r in results[width]
-        if not isinstance(r, train_eval.GridFailure)
-    )
+    n_failed = sum(cell["status"] == "failed" for cell in cells)
+    n_runs = sum(len(cell["fold_seeds"]) for cell in cells if cell["fold_seeds"])
     print(f"grid complete: {n_runs} training runs, {n_failed} failed cells; "
           f"tables in {out_dir}")
     return 1 if n_failed else 0
@@ -366,14 +334,8 @@ def cmd_evaluate(args) -> int:
     _, _, preds = train_eval.evaluate(params, x.astype(params.conv_w.dtype), np.array(labels),
                                       TrainConfig().batch_size)
     counts = train_eval.confusion(preds.tolist(), labels)
-    m = train_eval.metrics(counts)
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
-    print(
-        f"accuracy {report.format_percent(m.accuracy)}, "
-        f"precision {report.format_percent(m.precision)}, "
-        f"sensitivity {report.format_percent(m.sensitivity)}, "
-        f"f1 {report.format_percent(m.f1)}"
-    )
+    print(report.format_metrics(train_eval.metrics(counts)))
     return 0
 
 

@@ -54,11 +54,6 @@ MODEL_FORMAT_VERSION = 2
 # gate block order inside the stacked LSTM matrices, fixed for serialization
 GATE_ORDER = ("input", "forget", "cell", "output")
 
-GRID_FILTERS = (16, 32)
-GRID_KERNELS = (5, 20)
-GRID_LSTM_UNITS = (20, 40)
-GRID_WIDTHS = (13, 40)
-
 
 @dataclass
 class ModelConfig:
@@ -90,15 +85,6 @@ class ModelConfig:
             "dense_w": (u,),
             "dense_b": (),
         }
-
-    @property
-    def in_paper_grid(self) -> bool:
-        return (
-            self.filters in GRID_FILTERS
-            and self.kernel_size in GRID_KERNELS
-            and self.lstm_units in GRID_LSTM_UNITS
-            and self.n_mfcc in GRID_WIDTHS
-        )
 
 
 @dataclass

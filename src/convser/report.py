@@ -31,6 +31,11 @@ def format_percent(value) -> str:
     return "n/a" if value is None else f"{100.0 * value:.2f}%"
 
 
+def format_metrics(m) -> str:
+    """`accuracy A, precision P, sensitivity S, f1 F` of a MetricsReport."""
+    return ", ".join(f"{name} {format_percent(getattr(m, name))}" for name in METRIC_NAMES)
+
+
 def parse_percent(text: str):
     """The fraction in a percent cell; None for `n/a` or `failed`."""
     return float(text[:-1]) / 100.0 if text.endswith("%") else None

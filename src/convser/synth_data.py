@@ -100,16 +100,12 @@ def _synthesize(signature: ClassSignature, jitter: Jitter, duration_s: float,
 
 
 def _write_original(task):
-    """Synthesise and write one original's WAV; returns None, or the failure."""
+    """Synthesise and write one original's WAV."""
     spec, rec, out_dir = task
     signature = spec.class1_signature if rec.label == 1 else spec.class0_signature
-    try:
-        samples = _synthesize(signature, spec.jitter, spec.duration_s, spec.sample_rate,
-                              rng_for(spec.seed, rec.id))
-        write_wav(AudioBuffer(samples, spec.sample_rate), out_dir / rec.path)
-    except Exception as exc:  # returned, so the pool keeps the other records
-        return exc
-    return None
+    samples = _synthesize(signature, spec.jitter, spec.duration_s, spec.sample_rate,
+                          rng_for(spec.seed, rec.id))
+    write_wav(AudioBuffer(samples, spec.sample_rate), out_dir / rec.path)
 
 
 def generate_corpus(spec: SynthSpec, out_dir, jobs: int = 1) -> DatasetManifest:
@@ -139,9 +135,7 @@ def generate_corpus(spec: SynthSpec, out_dir, jobs: int = 1) -> DatasetManifest:
         )
         for idx in range(spec.n_originals)
     ]
-    for failure in map_tasks(_write_original, [(spec, rec, out_dir) for rec in records], jobs):
-        if failure is not None:
-            raise failure
+    map_tasks(_write_original, [(spec, rec, out_dir) for rec in records], jobs)
 
     manifest = DatasetManifest(records=records, root=out_dir)
     save_manifest(manifest, out_dir / "manifest.jsonl")

@@ -24,10 +24,6 @@ import numpy as np
 from .audio_io import DatasetManifest
 from .exceptions import ConvserError, ParameterError
 from .neural_net import (
-    GRID_FILTERS,
-    GRID_KERNELS,
-    GRID_LSTM_UNITS,
-    GRID_WIDTHS,
     ModelConfig,
     ModelParams,
     bce_from_logit,
@@ -69,6 +65,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.n_shuffles < 1:
             raise ParameterError("epochs, batch_size, and n_shuffles must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ParameterError(f"learning_rate must be a finite number > 0, "
+                                 f"got {self.learning_rate}")
         if self.split_mode not in SPLIT_MODES:
             raise ParameterError(f"split_mode {self.split_mode!r} not in {SPLIT_MODES}")
         if self.dtype not in ("float32", "float64"):
@@ -421,19 +420,36 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     )
 
 
-def grid_model_id(model_config: ModelConfig) -> str:
-    """Paper-order naming: M1..M8 per MFCC width, filters varying fastest,
-    then kernel size, then LSTM width."""
-    try:
-        k = (
-            1
-            + GRID_FILTERS.index(model_config.filters)
-            + 2 * GRID_KERNELS.index(model_config.kernel_size)
-            + 4 * GRID_LSTM_UNITS.index(model_config.lstm_units)
+# The paper's grid: filters x kernel size x LSTM units for each MFCC width
+GRID_FILTERS = (16, 32)
+GRID_KERNELS = (5, 20)
+GRID_LSTM_UNITS = (20, 40)
+GRID_WIDTHS = (13, 40)
+
+
+def grid_configs(n_mfcc: int, max_frames: int):
+    """The 8 grid cells for one MFCC width, in report row order M1..M8."""
+    return [
+        ModelConfig(
+            filters=filters,
+            kernel_size=kernel,
+            lstm_units=units,
+            n_mfcc=n_mfcc,
+            max_frames=max_frames,
         )
-    except ValueError:
-        return f"custom-{model_config.filters}-{model_config.kernel_size}-{model_config.lstm_units}"
-    return f"M{k}-{model_config.n_mfcc}"
+        for units in GRID_LSTM_UNITS
+        for kernel in GRID_KERNELS
+        for filters in GRID_FILTERS
+    ]
+
+
+def grid_model_id(model_config: ModelConfig) -> str:
+    """Paper-order naming: Mk-<n_mfcc> for the k-th of grid_configs, else
+    custom-<filters>-<kernel>-<lstm units>."""
+    cells = grid_configs(model_config.n_mfcc, model_config.max_frames)
+    if model_config in cells:
+        return f"M{cells.index(model_config) + 1}-{model_config.n_mfcc}"
+    return f"custom-{model_config.filters}-{model_config.kernel_size}-{model_config.lstm_units}"
 
 
 def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
@@ -464,22 +480,6 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
 
 def _run_fold(task):
     return train_model(*task)
-
-
-def grid_configs(n_mfcc: int, max_frames: int):
-    """The 8 grid cells for one MFCC width, in report row order M1..M8."""
-    return [
-        ModelConfig(
-            filters=filters,
-            kernel_size=kernel,
-            lstm_units=units,
-            n_mfcc=n_mfcc,
-            max_frames=max_frames,
-        )
-        for units in GRID_LSTM_UNITS
-        for kernel in GRID_KERNELS
-        for filters in GRID_FILTERS
-    ]
 
 
 # OpenBLAS's thread-count setter under the names its builds export: the
@@ -541,8 +541,9 @@ def map_tasks(fn, tasks, jobs: int, one_blas_thread: bool = False) -> list:
     """[fn(task) for task in tasks], in order: in this process when jobs <= 1,
     else in a pool of up to jobs worker processes. When fn raises, the first
     failed task's exception reaches the caller with its type and message
-    either way; callers that must keep the other tasks' results have fn
-    return its failure instead. A worker that dies (killed, or out of memory)
+    either way, from a pool only once no task is still running. The callers
+    that must keep the other tasks' results, cli._extract_one and _run_cell,
+    have fn return its failure instead. A worker that dies (killed, or out of memory)
     raises ConvserError naming fn.
 
     Workers are forked where the platform allows it: they inherit fn and the

@@ -80,6 +80,13 @@ class TestLoadWav:
         with pytest.raises(FormatError, match="bad_f32.wav.*non-finite"):
             load_wav(path)
 
+    @pytest.mark.parametrize("fmt_tag, bits, n_bytes", [(1, 16, 3), (3, 32, 6)])
+    def test_partial_sample_rejected(self, tmp_path, fmt_tag, bits, n_bytes):
+        path = tmp_path / "partial.wav"
+        path.write_bytes(wav_bytes(fmt_tag, 1, 44100, bits, b"\x00" * n_bytes))
+        with pytest.raises(FormatError, match=f"partial.wav: data chunk of {n_bytes} bytes"):
+            load_wav(path)
+
     def test_unsupported_codec(self, tmp_path):
         path = tmp_path / "mp3ish.wav"
         path.write_bytes(wav_bytes(85, 1, 44100, 16, b"\x00" * 32))

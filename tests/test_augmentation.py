@@ -148,11 +148,13 @@ class TestAugmentDataset:
             assert rec_a.id == rec_b.id
             assert (a.root / rec_a.path).read_bytes() == (b.root / rec_b.path).read_bytes()
 
-    def test_partial_output_cleaned_on_failure(self, tmp_path):
-        manifest = generate_corpus(SynthSpec(n_originals=2, duration_s=0.5, seed=8),
+    @pytest.mark.parametrize("corrupt", [0, 2])
+    def test_partial_output_cleaned_on_failure(self, tmp_path, corrupt):
+        manifest = generate_corpus(SynthSpec(n_originals=3, duration_s=0.5, seed=8),
                                    tmp_path / "src")
-        # corrupt the second source file after manifest validation
-        (tmp_path / "src" / manifest.records[1].path).write_bytes(b"not a wav")
+        # corrupt one source file after manifest validation; with the first
+        # corrupt, the other records are written while or after it fails
+        (tmp_path / "src" / manifest.records[corrupt].path).write_bytes(b"not a wav")
         for jobs in (1, 2):
             out = tmp_path / f"out{jobs}"
             with pytest.raises(FormatError, match="RIFF"):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import shutil
 import signal
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,61 @@ class TestConfigFile:
         assert run("synth", "--config", path, "--out", tmp_path / "c") == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("section", ["synth", "plan", "feature", "train", "model"])
+    def test_flags_override_config_keys(self, pipeline, tmp_path, section):
+        """A flag given on the command line beats its --config key; the
+        section's other keys still apply."""
+        out = tmp_path / "out"
+        corpus = pipeline["corpus"] / "manifest.jsonl"
+        train = ("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                 "--features", pipeline["features"], "--mfcc", "13", "--kernel", 5,
+                 "--shuffles", 1, "--filters", 16, "--epochs", 1)
+
+        def run_doc(key):
+            return lambda: json.loads(next(out.glob("*_run.json")).read_text())[key]
+
+        keys, argv, written, expected = {
+            "synth": ({"n_originals": 2, "duration_s": 0.3}, ("synth", "--n", 3),
+                      lambda: json.loads((out / "synth_spec.json").read_text()),
+                      {"n_originals": 3, "duration_s": 0.3}),
+            "plan": ({"rng_seed": 5, "time_stretch_rates": [], "pitch_shift_semitones": [],
+                      "noise_snrs_db": [30], "combined": False},
+                     ("augment", "--manifest", corpus, "--seed", 9),
+                     lambda: json.loads((out / "augmentation_plan.json").read_text()),
+                     {"rng_seed": 9, "noise_snrs_db": [30]}),
+            "feature": ({"hop": 4096, "n_mels": 48},
+                        ("extract", "--manifest", corpus, "--mfcc", "13", "--hop", 2048),
+                        lambda: asdict(load_features(out, 13).config),
+                        {"hop": 2048, "n_mels": 48}),
+            "train": ({"epochs": 2, "seed": 5, "batch_size": 4},
+                      train + ("--lstm", 20, "--seed", 8),
+                      run_doc("train_config"), {"epochs": 1, "seed": 8, "batch_size": 4}),
+            "model": ({"filters": 32, "lstm_units": 40}, train, run_doc("model_config"),
+                      {"filters": 16, "lstm_units": 40}),
+        }[section]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: keys}))
+        assert run(*argv, "--config", path, "--out", out) == 0
+        doc = written()
+        assert {key: doc[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-0.01"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_learning_rate_must_be_finite_and_positive(self, pipeline, tmp_path, capsys,
+                                                       route, rate):
+        if route == "flag":
+            given = ("--learning-rate", rate)
+        else:
+            given = ("--config", tmp_path / "config.json")
+            given[1].write_text(json.dumps({"train": {"learning_rate": float(rate)}}))
+        assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", pipeline["features"], "--mfcc", "13", "--epochs", 1,
+                   *given, "--out", tmp_path / "r") == 1
+        err = capsys.readouterr().err
+        assert "error: learning_rate must be a finite number > 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
 
 
 class TestAugment:
@@ -533,6 +589,17 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert f"error: {model}: no usable feature_config" in err
         assert err.rstrip().endswith("re-run `convser train`")
+
+    @pytest.mark.parametrize("fmt_tag, bits, n_bytes", [(1, 16, 3), (3, 32, 6)])
+    def test_predict_rejects_a_partial_sample(self, run_dir, tmp_path, capsys,
+                                              fmt_tag, bits, n_bytes):
+        wav = tmp_path / "partial.wav"
+        wav.write_bytes(wav_bytes(fmt_tag, 1, 44100, bits, b"\x00" * n_bytes))
+        capsys.readouterr()
+        assert run("predict", "--model", run_dir / "M1-13_fold0.model.json", wav) == 1
+        err = capsys.readouterr().err
+        assert f"error: {wav}: " in err
+        assert "Traceback" not in err
 
     def test_missing_features_is_actionable(self, pipeline, tmp_path, capsys):
         rc = run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",

@@ -677,10 +677,6 @@ class TestParams:
         assert np.all(params.lstm_b[u : 2 * u] == 1.0)
         assert np.all(params.lstm_b[:u] == 0.0)
 
-    def test_grid_membership_flag(self):
-        assert ModelConfig(filters=16, kernel_size=5, lstm_units=20, n_mfcc=13).in_paper_grid
-        assert not ModelConfig(filters=17, kernel_size=5, lstm_units=20, n_mfcc=13).in_paper_grid
-
 
 class TestSerialization:
     def test_roundtrip_exact(self, tmp_path):

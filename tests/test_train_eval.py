@@ -305,6 +305,11 @@ class TestTrainModel:
         with pytest.raises(ParameterError, match=r"\(9, 6, 5\).*\(10, 6, 5\)"):
             train_model(self.model_config(), self.small_config(), features, manifest)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -0.01])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ParameterError, match="learning_rate must be a finite number > 0"):
+            self.small_config(learning_rate=rate)
+
 
 class TestGradientClipAndConvBias:
     """Training clips the global gradient norm before ADAM and never updates
@@ -577,9 +582,20 @@ class TestGrid:
                     for name in ModelParams.TENSOR_NAMES:
                         assert np.array_equal(getattr(fa.params, name), getattr(fb.params, name))
 
-    def test_model_id_for_custom_config(self):
-        config = ModelConfig(filters=8, kernel_size=5, lstm_units=20, n_mfcc=13, max_frames=4)
-        assert grid_model_id(config) == "custom-8-5-20"
+    @pytest.mark.parametrize("filters, kernel, units, width, model_id", [
+        (16, 5, 20, 13, "M1-13"),
+        (32, 5, 20, 40, "M2-40"),
+        (16, 20, 20, 13, "M3-13"),
+        (16, 5, 40, 40, "M5-40"),
+        (32, 20, 40, 13, "M8-13"),
+        (8, 5, 20, 13, "custom-8-5-20"),
+        (16, 7, 20, 40, "custom-16-7-20"),
+        (32, 20, 41, 13, "custom-32-20-41"),
+    ])
+    def test_model_id(self, filters, kernel, units, width, model_id):
+        config = ModelConfig(filters=filters, kernel_size=kernel, lstm_units=units,
+                             n_mfcc=width, max_frames=4)
+        assert grid_model_id(config) == model_id
 
 
 class TestResultsCsv:
