@@ -33,6 +33,7 @@ from .neural_net import (
     load_model,
     model_backward,
     model_forward,
+    model_score,
     save_model,
 )
 from .synth_data import SynthSpec, generate_corpus, measure_separability

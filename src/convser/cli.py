@@ -23,7 +23,8 @@ import numpy as np
 from . import augmentation, dsp_features, report, synth_data, train_eval
 from .audio_io import load_manifest, load_wav, save_manifest
 from .exceptions import ConvserError, FormatError, ParameterError
-from .neural_net import ModelConfig, load_model, model_forward, save_model
+from .neural_net import ModelConfig, load_model, model_score, save_model
+from .neural_net import model_forward  # noqa: F401  (perfbench's tracer self-test looks it up here)
 from .train_eval import GRID_WIDTHS, TrainConfig
 
 log = logging.getLogger("convser")
@@ -344,7 +345,7 @@ def cmd_predict(args) -> int:
     config = _model_feature_config(args.model, extra)
     for wav in args.wavs:
         fm = dsp_features.extract_features(load_wav(wav), config)
-        (prob,), _ = model_forward(fm.values[None].astype(params.conv_w.dtype), params)
+        (prob,), _ = model_score(fm.values[None].astype(params.conv_w.dtype), params, 1)
         print(f"{wav}\t{prob:.4f}\t{int(prob >= 0.5)}")
     return 0
 

@@ -5,10 +5,15 @@ Architecture: a 1D convolution applied independently to every timestep
 ReLU), per-timestep flatten, an LSTM over all timesteps, and a logistic
 output unit reading the final hidden state.
 
-model_forward is the one forward implementation: training, evaluation and
-prediction all call it on a batch (B x T x n_mfcc), so the heavy matrix
-products run as single BLAS calls across timesteps. A single sample is a
-batch of one.
+One forward implementation in two stages serves training, evaluation and
+prediction. The input stage (_conv_relu, _project) runs the convolution,
+its ReLU and the LSTM input projection of a batch (B x T x n_mfcc) as single
+BLAS calls across timesteps; the recurrence (_recurrence) is the LSTM step
+loop. model_forward runs both on a training batch and keeps the trace
+model_backward reads. model_score, which evaluate and predict call, keeps
+no trace: it runs the input stage per batch and one step loop over all
+rows, with the bits model_forward gives batch by batch. A single sample is
+a batch of one.
 
 The LSTM steps are stacked over the four gate blocks: each forward step
 makes one sigmoid call over all gates (tanh then overwrites the cell block),
@@ -199,11 +204,22 @@ def _check_batch(x):
     return x
 
 
-def _live_frames(x):
+def _check_features(features, params: ModelParams):
+    x = _check_batch(features)
+    if x.shape[2] != params.config.n_mfcc:
+        raise ParameterError(
+            f"feature width {x.shape[2]} != model n_mfcc {params.config.n_mfcc}"
+        )
+    return x
+
+
+def _live_frames(x, frames=None):
     """The number n of leading frames the products of a (B, T, ...) batch run
     over: the frames before its trailing all-zero frames, x[:, n:] being zero
     in every sample, when those number at least T // 4 and the n live frames
-    hold no rows or at least 16 (B * n); otherwise n = T.
+    hold no rows or at least 16 (B * n); otherwise n = T. Given frames, x
+    holds the first frames of a batch of T = frames frames whose other frames
+    are zero.
 
     Skipping costs a copy of the live rows and fresh arrays for the results;
     on C6-shaped M8-40 batches (T = 60) it paid from about 8 skipped frames
@@ -216,11 +232,11 @@ def _live_frames(x):
     from the last frame in blocks of 1, 2, 4, ... frames, and stops at the
     first block with a non-zero value."""
     x = x.reshape(x.shape[0], x.shape[1], -1)
-    t = x.shape[1]
+    t = x.shape[1] if frames is None else frames
     limit = t - t // 4  # frames limit.. must all be zero for any to be skipped
     if x[:, limit:limit + 1].any():
         return t
-    end, size = t, 1
+    end, size = x.shape[1], 1
     while end > 0:
         start = max(end - size, 0)
         block = x[:, start:end]
@@ -248,85 +264,129 @@ def _add_bias(rows, bias, t):
     return out
 
 
+def _conv_relu(x, params: ModelParams, full: bool):
+    """Convolution, + conv_b and ReLU of a (B, T, n_mfcc) batch over its n
+    live frames (see _live_frames). Returns the input windows, conv_pre and
+    the ReLU output flattened per frame, (B, frames, flat_width), where
+    frames is T when full (frames n.. hold 0 + conv_b and its ReLU, see
+    _add_bias) and n otherwise."""
+    b, t, m = x.shape
+    k, filters = params.config.kernel_size, params.config.filters
+    windows = _conv_windows(x, k)
+    n = _live_frames(x)
+    conv_pre = _add_bias(
+        (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters),
+        params.conv_b, t if full else n)
+    relu = np.empty_like(conv_pre)
+    np.maximum(conv_pre[:, :n], 0.0, out=relu[:, :n])
+    relu[:, n:] = np.maximum(conv_pre[:1, n:n + 1], 0.0)
+    # row-major flatten of each timestep: coefficient outer, filter inner
+    return windows, conv_pre, relu.reshape(conv_pre.shape[:2] + (m * filters,))
+
+
+def _project(inputs, params: ModelParams, frames):
+    """The LSTM input projection + lstm_b of a (B, n, flat_width) input that
+    holds the first n of a batch's frames, the rest being zero. Returns the
+    time-major (n', B, 4 * units) rows of its n' live frames (see
+    _live_frames) and the (4 * units,) row every later frame gets, 0 + lstm_b
+    (a zero frame's product row is exactly +0)."""
+    b, _, d = inputs.shape
+    n = _live_frames(inputs, frames)
+    xw = (inputs[:, :n].reshape(b * n, d) @ params.lstm_w.T).reshape(b, n, len(params.lstm_b))
+    xw += params.lstm_b
+    return xw.transpose(1, 0, 2), np.zeros((), xw.dtype) + params.lstm_b
+
+
+def _recurrence(xw, fill, steps, params: ModelParams, keep: bool):
+    """The LSTM step loop from h0 = c0 = 0 over `steps` steps: step s reads
+    the input projections xw[s], (B, 4 * units), while s < len(xw), and the
+    row fill after. Returns the final hidden state and, when keep, the
+    ForwardTrace arrays (gates, cell, tanh_cell, h_prev) of every step, else
+    None."""
+    b = xw.shape[1]
+    u = params.config.lstm_units
+    dtype = params.lstm_w.dtype
+    kept = steps if keep else 1  # without keep every step overwrites slot 0
+    gates = np.empty((kept, 4, b, u), dtype=dtype)
+    cell, tanh_cell, h_prev = (np.empty((kept, b, u), dtype=dtype) for _ in range(3))
+    h = np.zeros((b, u), dtype=dtype)
+    c = np.zeros((b, u), dtype=dtype)
+    for step in range(steps):
+        s = step % kept
+        h_prev[s] = h
+        z = (xw[step] if step < len(xw) else fill) + h @ params.lstm_u.T
+        # one sigmoid over all four gate blocks, then tanh over the cell block
+        gates[s] = _sigmoid(z).reshape(b, 4, u).transpose(1, 0, 2)
+        np.tanh(z[:, 2 * u : 3 * u], out=gates[s, 2])
+        i, f, g, o = gates[s]
+        c = np.add(f * c, i * g, out=cell[s])
+        h = o * np.tanh(c, out=tanh_cell[s])
+    trace = {"gates": gates, "cell": cell, "tanh_cell": tanh_cell, "h_prev": h_prev}
+    return h, trace if keep else None
+
+
+def _output(h, params: ModelParams):
+    """The logistic output unit: (B,) probabilities and logits of the final
+    hidden states."""
+    logit = h @ params.dense_w + params.dense_b
+    return _clamp_prob(_sigmoid(logit)), logit
+
+
 def lstm_forward(inputs, params: ModelParams):
     """Run the LSTM over all timesteps from h0 = c0 = 0, returning the final
     hidden state and the per-step quantities needed for backprop.
 
     The input projection is one GEMM over the frames before the input's own
     trailing all-zero frames (when they are at least a quarter of the
-    frames, see _live_frames); those frames get 0 + lstm_b (see _add_bias).
-    With ReLU inputs that is the batch's padding unless some conv_b > 0.
-    The step loop runs all timesteps."""
+    frames, see _live_frames); those frames get 0 + lstm_b. With ReLU inputs
+    that is the batch's padding unless some conv_b > 0. The step loop runs
+    all timesteps."""
     x = _check_batch(inputs)
-    b, t, d = x.shape
-    u = params.config.lstm_units
+    t, d = x.shape[1:]
     if d != params.lstm_w.shape[1]:
         raise ParameterError(f"lstm input width {d} != weight width {params.lstm_w.shape[1]}")
-
-    dtype = params.lstm_w.dtype
-    n = _live_frames(x)
-    xw = _add_bias((x[:, :n].reshape(b * n, d) @ params.lstm_w.T).reshape(b, n, 4 * u),
-                   params.lstm_b, t)
-
-    gates = np.empty((t, 4, b, u), dtype=dtype)
-    cell = np.empty((t, b, u), dtype=dtype)
-    tanh_cell = np.empty((t, b, u), dtype=dtype)
-    h_prev_all = np.empty((t, b, u), dtype=dtype)
-    h = np.zeros((b, u), dtype=dtype)
-    c = np.zeros((b, u), dtype=dtype)
-    for step in range(t):
-        h_prev_all[step] = h
-        z = xw[:, step, :] + h @ params.lstm_u.T
-        # one sigmoid over all four gate blocks, then tanh over the cell block
-        gates[step] = _sigmoid(z).reshape(b, 4, u).transpose(1, 0, 2)
-        np.tanh(z[:, 2 * u : 3 * u], out=gates[step, 2])
-        i, f, g, o = gates[step]
-        c = np.add(f * c, i * g, out=cell[step])
-        h = o * np.tanh(c, out=tanh_cell[step])
-
-    cache = {"gates": gates, "cell": cell, "tanh_cell": tanh_cell, "h_prev": h_prev_all}
-    return h, cache
+    return _recurrence(*_project(x, params, t), t, params, keep=True)
 
 
 def model_forward(features, params: ModelParams):
     """Full forward pass over a (B, T, n_mfcc) batch; returns the (B,)
     probabilities and the ForwardTrace that model_backward reads."""
-    x = _check_batch(features)
-    b, t, m = x.shape
-    if m != params.config.n_mfcc:
-        raise ParameterError(
-            f"feature width {m} != model n_mfcc {params.config.n_mfcc}"
-        )
-    k, filters = params.config.kernel_size, params.config.filters
-    windows = _conv_windows(x, k)
-    # the convolution and ReLU run over the frames before the batch's trailing
-    # all-zero frames (see _live_frames); those frames hold 0 + conv_b and its ReLU
-    n = _live_frames(x)
-    conv_pre = _add_bias(
-        (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters),
-        params.conv_b, t)
-    relu = np.empty_like(conv_pre)
-    np.maximum(conv_pre[:, :n], 0.0, out=relu[:, :n])
-    relu[:, n:] = np.maximum(conv_pre[:1, n:n + 1], 0.0)
-    # row-major flatten of each timestep: coefficient outer, filter inner
-    flat = relu.reshape(b, t, m * filters)
+    x = _check_features(features, params)
+    windows, conv_pre, flat = _conv_relu(x, params, full=True)
     h_final, lstm_cache = lstm_forward(flat, params)
-    logit = h_final @ params.dense_w + params.dense_b
-    prob = _clamp_prob(_sigmoid(logit))
-    trace = ForwardTrace(
-        x=x,
-        windows=windows,
-        conv_pre=conv_pre,
-        flat=flat,
-        gates=lstm_cache["gates"],
-        cell=lstm_cache["cell"],
-        tanh_cell=lstm_cache["tanh_cell"],
-        h_prev=lstm_cache["h_prev"],
-        h_final=h_final,
-        logit=logit,
-        prob=prob,
-    )
+    prob, logit = _output(h_final, params)
+    trace = ForwardTrace(x=x, windows=windows, conv_pre=conv_pre, flat=flat, **lstm_cache,
+                         h_final=h_final, logit=logit, prob=prob)
     return prob, trace
+
+
+def model_score(features, params: ModelParams, batch_size: int):
+    """The (B,) probabilities and logits of a (B, T, n_mfcc) array without a
+    trace, bit for bit what model_forward gives on each batch_size rows.
+
+    The input stage runs per batch_size rows, exactly as in model_forward,
+    so its memory stays bounded. Its projections are stacked time-major into
+    one (frames, B, 4 * units) array, and one step loop runs over all rows,
+    keeping only the current step. No product mixes rows, and with at least
+    16 rows OpenBLAS computes each row of a product the same for any row
+    count. Below 16 it can take its small-matrix kernel, so the bits are
+    model_forward's when every batch holds at least 16 rows or there is one
+    batch: evaluate scores a smaller batch in a call of its own."""
+    x = _check_features(features, params)
+    b, t, _ = x.shape
+    # padding frames have ReLU rows of zero unless some conv_b > 0 (or NaN);
+    # then the projection runs full-size, as in model_forward
+    full = not (params.conv_b <= 0).all()
+    starts = range(0, b, batch_size)
+    stages = [_project(_conv_relu(x[s:s + batch_size], params, full)[2], params, t)
+              for s in starts]
+    fill = stages[0][1]
+    xw = np.empty((max(len(rows) for rows, _ in stages), b, len(fill)), fill.dtype)
+    for s, (rows, _) in zip(starts, stages):
+        xw[:len(rows), s:s + batch_size] = rows
+        xw[len(rows):, s:s + batch_size] = fill
+    h, _ = _recurrence(xw, fill, t, params, keep=False)
+    return _output(h, params)
 
 
 def bce_from_logit(logit, y):

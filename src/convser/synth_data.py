@@ -11,6 +11,7 @@ a null corpus whose labels carry no signal at all.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -65,6 +66,15 @@ class SynthSpec:
     )
     jitter: Jitter = field(default_factory=Jitter)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.sample_rate < 1:
+            raise ParameterError(f"sample_rate must be >= 1, got {self.sample_rate}")
+        if not 0 < self.duration_s < math.inf:
+            raise ParameterError(f"duration_s must be a finite number > 0, got {self.duration_s}")
+        if round(self.duration_s * self.sample_rate) < 1:
+            raise ParameterError(f"duration_s {self.duration_s} holds no sample at "
+                                 f"sample_rate {self.sample_rate}")
 
     @classmethod
     def null(cls, **overrides) -> "SynthSpec":

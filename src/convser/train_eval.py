@@ -30,6 +30,7 @@ from .neural_net import (
     init_params,
     model_backward,
     model_forward,
+    model_score,
 )
 from .seeding import derive_seed, rng_for
 
@@ -325,15 +326,15 @@ def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int)
     Returns (mean loss, accuracy, per-sample predictions at threshold 0.5).
     Training's per-epoch curves, its final validation metrics and
     `convser evaluate` all come from this function."""
-    losses = np.empty(len(x))
-    preds = np.empty(len(x), dtype=int)
-    for start in range(0, len(x), batch_size):
-        stop = start + batch_size
-        prob, trace = model_forward(x[start:stop], params)
-        losses[start:stop] = bce_from_logit(trace.logit, y[start:stop])
-        preds[start:stop] = (prob >= 0.5).astype(int)
+    # batches of 16 rows or more share one call; a smaller batch (a remainder,
+    # or each batch when batch_size < 16) gets its own (see model_score)
+    cut = len(x) - len(x) % batch_size if batch_size >= 16 else 0
+    parts = [x[:cut]] + [x[s:s + batch_size] for s in range(cut, len(x), batch_size)]
+    scores = [model_score(part, params, batch_size) for part in parts if len(part)]
+    prob, logit = (np.concatenate(column) for column in zip(*scores))
+    preds = (prob >= 0.5).astype(int)
     accuracy = float((preds == y).mean())
-    return float(losses.mean()), accuracy, preds
+    return float(bce_from_logit(logit, y).mean()), accuracy, preds
 
 
 def train_model(model_config: ModelConfig, train_config: TrainConfig,

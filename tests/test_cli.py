@@ -12,7 +12,7 @@ import pytest
 from convser import augmentation, cli, neural_net, train_eval
 from convser.audio_io import load_manifest, load_wav
 from convser.cli import main
-from convser.dsp_features import extract_features, load_features
+from convser.dsp_features import FeatureConfig, extract_features, load_features
 
 from conftest import wav_bytes
 
@@ -53,6 +53,21 @@ class TestSynth:
         for path_a in sorted((tmp_path / "a").iterdir()):
             path_b = tmp_path / "b" / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf", "1e-7"])
+    def test_bad_duration_flag_rejected(self, tmp_path, capsys, duration):
+        assert run("synth", "--n", 2, "--duration", duration, "--out", tmp_path / "c") == 1
+        assert "error: duration_s" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("key, value", [("duration_s", 0), ("duration_s", float("nan")),
+                                            ("sample_rate", 0), ("sample_rate", -8000)])
+    def test_bad_duration_or_rate_in_config_rejected(self, tmp_path, capsys, key, value):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"synth": {key: value}}))
+        assert run("synth", "--n", 2, "--config", config, "--out", tmp_path / "c") == 1
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -496,35 +511,56 @@ class TestTrainPredictEvaluate:
         assert "accuracy" in printed and "tp=" in printed
 
     def test_evaluate_scores_like_training(self, pipeline, run_dir, capsys, monkeypatch):
-        """evaluate scores in the model's dtype, in training's batches, and
-        prints the counts of train_eval.evaluate."""
+        """evaluate scores in the model's dtype and prints the counts of
+        training's model_forward run batch by batch."""
         model = run_dir / "M1-13_fold0.model.json"
         params, _ = neural_net.load_model(model)
         assert params.conv_w.dtype == np.float32
-        batches = []
-        real_forward = neural_net.model_forward
+        scored = []
+        real_score = neural_net.model_score
 
-        def spy_forward(features, params):
-            batches.append((features.dtype, len(features)))
-            return real_forward(features, params)
+        def spy_score(features, params, batch_size):
+            scored.append((features.dtype, len(features)))
+            return real_score(features, params, batch_size)
 
-        for module in (cli, train_eval, neural_net):
-            monkeypatch.setattr(module, "model_forward", spy_forward)
+        monkeypatch.setattr(train_eval, "model_score", spy_score)
         manifest_path = pipeline["augmented"] / "manifest.jsonl"
         capsys.readouterr()
         assert run("evaluate", "--model", model, "--manifest", manifest_path,
                    "--features", pipeline["features"]) == 0
         printed = capsys.readouterr().out
-        assert batches and all(dtype == np.float32 and n <= 16 for dtype, n in batches)
-        assert sum(n for _, n in batches) == 48
+        assert scored and all(dtype == np.float32 for dtype, _ in scored)
+        assert sum(n for _, n in scored) == 48
 
         records = load_manifest(manifest_path).records
         x = load_features(pipeline["features"], 13).stack(rec.id for rec in records)
         x = x.astype(np.float32)
-        y = np.array([rec.label for rec in records])
-        _, _, preds = train_eval.evaluate(params, x, y, 16)
-        counts = train_eval.confusion(preds.tolist(), y.tolist())
+        y = [rec.label for rec in records]
+        prob = np.concatenate([neural_net.model_forward(x[s:s + 16], params)[0]
+                               for s in range(0, len(x), 16)])
+        counts = train_eval.confusion((prob >= 0.5).astype(int).tolist(), y)
         assert f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}" in printed
+
+    def test_predict_scores_like_training(self, pipeline, run_dir, capsys, monkeypatch):
+        model = run_dir / "M1-13_fold0.model.json"
+        params, extra = neural_net.load_model(model)
+        scores = []
+        real_score = neural_net.model_score
+
+        def spy_score(features, params, batch_size):
+            scores.append(real_score(features, params, batch_size))
+            return scores[-1]
+
+        monkeypatch.setattr(cli, "model_score", spy_score)
+        wav = pipeline["corpus"] / "synth000.wav"
+        capsys.readouterr()
+        assert run("predict", "--model", model, wav) == 0
+        printed = capsys.readouterr().out.split("\t")[1]
+
+        features = extract_features(load_wav(wav), FeatureConfig(**extra["feature_config"]))
+        prob, _ = neural_net.model_forward(features.values[None].astype(np.float32), params)
+        assert [p.tobytes() for p, _ in scores] == [prob.tobytes()]
+        assert printed == f"{prob[0]:.4f}"
 
     @pytest.mark.parametrize("flags, differ", [
         (("--max-frames", 3), "max_frames: store 3, model 6"),

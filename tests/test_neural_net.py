@@ -3,6 +3,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from convser.neural_net import (
     lstm_forward,
     model_backward,
     model_forward,
+    model_score,
     save_model,
 )
 from convser.neural_net import _live_frames, _sigmoid
+from convser.train_eval import evaluate
 
 TINY = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
 
@@ -350,6 +353,13 @@ class TestLiveFrames:
         assert _live_frames(np.zeros((2, 20, 4))) == 0
         assert _live_frames(np.ones((2, 20, 4))) == 20
 
+    def test_frames_beyond_the_array_count_as_zero(self):
+        x = np.ones((4, 6, 2))
+        x[:, 5:] = 0.0
+        assert _live_frames(x, frames=20) == 5
+        assert _live_frames(x[:1], frames=20) == 20  # 5 live rows: under 16
+        assert _live_frames(np.ones((4, 16, 2)), frames=20) == 20  # padding under a quarter
+
     def test_reads_any_trailing_axes(self):
         mask = np.zeros((4, 8, 3, 2), dtype=bool)
         mask[0, 4, 1, 1] = True
@@ -552,6 +562,78 @@ class TestModelForward:
             model_forward(np.zeros(shape), params)
         with pytest.raises(ParameterError, match="batch"):
             lstm_forward(np.zeros(shape[:-1] + (10,)), params)
+
+
+def batchwise_forward(x, params, batch_size=16):
+    """model_forward's probabilities and logits over x, batch_size rows at a time."""
+    probs, logits = zip(*((prob, trace.logit) for prob, trace in
+                          (model_forward(x[s:s + batch_size], params)
+                           for s in range(0, len(x), batch_size))))
+    return np.concatenate(probs), np.concatenate(logits)
+
+
+def scoring_input(config, rows, kind, dtype, seed):
+    """rows samples of T = 60 frames, its 16-row batches padded in turn:
+    1..8 live frames at the tail, exactly a quarter of the frames padded
+    (the _live_frames boundary), and no padding, starting at kind."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (rows, 60, config.n_mfcc)).astype(dtype)
+    for j, start in enumerate(range(0, rows, 16)):
+        batch = x[start:start + 16]
+        padding = ("tail", "quarter", "none")[(kind + j) % 3]
+        if padding == "tail":
+            for row, live in zip(batch, rng.integers(1, 9, len(batch))):
+                row[live:] = 0.0
+        elif padding == "quarter":
+            batch[:, 45:] = 0.0
+    return x
+
+
+class TestModelScore:
+    """model_score keeps no trace, yet gives the bits model_forward gives on
+    each 16-row batch, as do evaluate and predict, which score through it."""
+
+    ROWS = (1, 5, 13, 16, 29, 67, 91, 213)
+
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    def test_bit_identical_to_batchwise_forward(self, config, dtype, bias):
+        params = conv_bias(random_params(config, 7, scale=0.2), bias).astype(dtype)
+        for kind, rows in enumerate(self.ROWS):
+            x = scoring_input(config, rows, kind, dtype, seed=rows)
+            y = (np.arange(rows) % 3 == 0).astype(dtype)
+            prob, logit = batchwise_forward(x, params)
+            # evaluate scores the full batches in one call and the rest in another
+            cut = rows - rows % 16
+            parts = [model_score(part, params, 16) for part in (x[:cut], x[cut:]) if len(part)]
+            assert same_bits(np.concatenate([p for p, _ in parts]), prob), rows
+            assert same_bits(np.concatenate([lg for _, lg in parts]), logit), rows
+            loss, accuracy, preds = evaluate(params, x, y, 16)
+            want = (prob >= 0.5).astype(int)
+            assert same_bits(preds, want), rows
+            assert loss == float(bce_from_logit(logit, y).mean()), rows
+            assert accuracy == float((want == y).mean()), rows
+
+    @pytest.mark.parametrize("batch_size", [2, 4])
+    def test_evaluate_in_batches_under_16_rows(self, batch_size):
+        # one step loop over all rows rounds these differently (small-matrix kernel)
+        config = replace(M1_13, lstm_units=40, max_frames=60)
+        params = random_params(config, 3, scale=0.2).astype(np.float32)
+        x = scoring_input(config, 29, 0, np.float32, seed=4)
+        y = (np.arange(29) % 2).astype(np.float32)
+        prob, logit = batchwise_forward(x, params, batch_size)
+        loss, _, preds = evaluate(params, x, y, batch_size)
+        assert loss == float(bce_from_logit(logit, y).mean())
+        assert same_bits(preds, (prob >= 0.5).astype(int))
+
+    def test_checks_its_input(self):
+        params = init_params(TINY, 0)
+        with pytest.raises(ParameterError):
+            model_score(np.zeros((1, 6, 7)), params, 16)
+        with pytest.raises(ParameterError, match="batch"):
+            model_score(np.zeros((6, 5)), params, 16)
 
 
 class TestLoss:
