@@ -12,8 +12,8 @@ BLAS calls across timesteps; the recurrence (_recurrence) is the LSTM step
 loop. model_forward runs both on a training batch and keeps the trace
 model_backward reads. model_score, which evaluate and predict call, keeps
 no trace: it runs the input stage per batch and one step loop over all
-rows, with the bits model_forward gives batch by batch. A single sample is
-a batch of one.
+rows, remainder batch included, with the bits model_forward gives batch by
+batch. A single sample is a batch of one.
 
 The LSTM steps are stacked over the four gate blocks: each forward step
 makes one sigmoid call over all gates (tanh then overwrites the cell block),
@@ -25,20 +25,20 @@ the reference in the tests).
 
 Samples are zero-padded at the tail to a fixed frame count, and the products
 skip that padding. The convolution, its ReLU and the LSTM input projection
-run over the frames before the batch's trailing all-zero frames only, and
-the input gradient dflat over the frames before the ReLU mask's trailing
-inactive frames only (padding is inactive unless some conv_b > 0). An
-all-zero frame's product row is exactly +0 for finite weights, so skipped
-frames get the bias terms a full-size product gives them (0 + conv_b, its
-ReLU, 0 + lstm_b) and dpre rows of zero. The two products that sum over the
-B*T rows, the lstm_w and conv_w gradients, stay full-size, as fewer rows
-would change how BLAS blocks the sum; the LSTM step loops run all T steps.
-The bits equal the full-size form's as long as each shorter product runs
-the same BLAS kernel. OpenBLAS on AVX-512 rounds a small product with a
-small-matrix kernel, so _live_frames skips padding only when the live
-frames keep at least 16 rows, and only when the padding is at least a
-quarter of the frames, where skipping pays. With OpenBLAS 0.3.31 every grid
-shape then keeps its kernel; a BLAS that draws the small-kernel line
+run over the frames before the batch's trailing all-zero frames only, and so
+do the input gradient dflat, the ReLU mask it passes through and the conv_b
+gradient, unless some conv_b > 0 makes the padding active; then they run
+over all frames. An all-zero frame's product row is exactly +0 for finite
+weights, so skipped frames get the bias terms a full-size product gives them
+(0 + conv_b, its ReLU, 0 + lstm_b) and dpre rows of zero. The two products
+that sum over the B*T rows, the lstm_w and conv_w gradients, stay full-size,
+as fewer rows would change how BLAS blocks the sum; the LSTM step loops run
+all T steps. The bits equal the full-size form's as long as each shorter
+product runs the same BLAS kernel. OpenBLAS on AVX-512 rounds a small
+product with a small-matrix kernel, so _live_frames skips padding only when
+the live frames keep at least 16 rows, and only when the padding is at least
+a quarter of the frames, where skipping pays. With OpenBLAS 0.3.31 every
+grid shape then keeps its kernel; a BLAS that draws the small-kernel line
 elsewhere may give a batch of a few samples other last bits than the
 full-size form. Every run still repeats its own bits.
 """
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -166,11 +167,14 @@ class ForwardTrace:
 
 def _sigmoid(x):
     """The logistic function in its two overflow-free forms, 1 / (1 + e^-x)
-    for x >= 0 and e^x / (1 + e^x) for x < 0, both from e = exp(-|x|)."""
+    for x >= 0 and e^x / (1 + e^x) for x < 0, both from e = exp(-|x|).
+
+    The numerator is picked without a select: max(e, 1) is 1 where x >= 0
+    (e <= 1 there) and max(e, 0) is e where x < 0, NaN staying NaN, so each
+    element gets the bits of its own form."""
     x = np.asarray(x)
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, (x >= 0).astype(e.dtype)) / (1.0 + e)
 
 
 def _clamp_prob(p):
@@ -228,22 +232,16 @@ def _live_frames(x, frames=None):
     x @ lstm_w.T of a grid shape to its small-matrix kernel (up to 15 rows at
     20 LSTM units, 4 at M8-40), which rounds differently from the blocked
     kernel of the full-size product. Frame T - T // 4 is read first, as it
-    is usually live when there is too little padding; then the scan runs back
-    from the last frame in blocks of 1, 2, 4, ... frames, and stops at the
-    first block with a non-zero value."""
-    x = x.reshape(x.shape[0], x.shape[1], -1)
+    is usually live when there is too little padding; then one pass marks
+    the frames with a non-zero value in any sample (reducing over samples
+    first, as numpy reduces short rows slowly)."""
+    x = x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))  # -1 cannot size 0 frames
     t = x.shape[1] if frames is None else frames
     limit = t - t // 4  # frames limit.. must all be zero for any to be skipped
     if x[:, limit:limit + 1].any():
         return t
-    end, size = x.shape[1], 1
-    while end > 0:
-        start = max(end - size, 0)
-        block = x[:, start:end]
-        if block.any():
-            end = start + 1 + int(np.flatnonzero(block.any(axis=(0, 2)))[-1])
-            break
-        end, size = start, 2 * size
+    live = np.flatnonzero((x != 0).any(axis=0).any(axis=1))
+    end = int(live[-1]) + 1 if len(live) else 0
     return t if end > limit or 0 < x.shape[0] * end < 16 else end
 
 
@@ -297,12 +295,24 @@ def _project(inputs, params: ModelParams, frames):
     return xw.transpose(1, 0, 2), np.zeros((), xw.dtype) + params.lstm_b
 
 
-def _recurrence(xw, fill, steps, params: ModelParams, keep: bool):
+def _matmul_rows(a, w, groups=None):
+    """a @ w, with the rows lo:hi of each (lo, hi) in groups, when given, as
+    a product of their own: the bits separate calls on those rows give."""
+    if groups is None or len(groups) == 1:
+        return a @ w
+    out = np.empty(a.shape[:1] + w.shape[1:], np.result_type(a, w))
+    for lo, hi in groups:
+        np.matmul(a[lo:hi], w, out=out[lo:hi])
+    return out
+
+
+def _recurrence(xw, fill, steps, params: ModelParams, keep: bool, groups=None):
     """The LSTM step loop from h0 = c0 = 0 over `steps` steps: step s reads
     the input projections xw[s], (B, 4 * units), while s < len(xw), and the
-    row fill after. Returns the final hidden state and, when keep, the
-    ForwardTrace arrays (gates, cell, tanh_cell, h_prev) of every step, else
-    None."""
+    row fill after. The recurrent product runs per row group when groups
+    are given (see _matmul_rows). Returns the final hidden state and, when
+    keep, the ForwardTrace arrays (gates, cell, tanh_cell, h_prev) of every
+    step, else None."""
     b = xw.shape[1]
     u = params.config.lstm_units
     dtype = params.lstm_w.dtype
@@ -314,7 +324,8 @@ def _recurrence(xw, fill, steps, params: ModelParams, keep: bool):
     for step in range(steps):
         s = step % kept
         h_prev[s] = h
-        z = (xw[step] if step < len(xw) else fill) + h @ params.lstm_u.T
+        z = _matmul_rows(h, params.lstm_u.T, groups)
+        z += xw[step] if step < len(xw) else fill
         # one sigmoid over all four gate blocks, then tanh over the cell block
         gates[s] = _sigmoid(z).reshape(b, 4, u).transpose(1, 0, 2)
         np.tanh(z[:, 2 * u : 3 * u], out=gates[s, 2])
@@ -325,10 +336,12 @@ def _recurrence(xw, fill, steps, params: ModelParams, keep: bool):
     return h, trace if keep else None
 
 
-def _output(h, params: ModelParams):
+def _output(h, params: ModelParams, groups=None):
     """The logistic output unit: (B,) probabilities and logits of the final
-    hidden states."""
-    logit = h @ params.dense_w + params.dense_b
+    hidden states, its product run per row group when groups are given
+    (see _matmul_rows)."""
+    logit = _matmul_rows(h, params.dense_w, groups)
+    logit += params.dense_b
     return _clamp_prob(_sigmoid(logit)), logit
 
 
@@ -367,11 +380,11 @@ def model_score(features, params: ModelParams, batch_size: int):
     The input stage runs per batch_size rows, exactly as in model_forward,
     so its memory stays bounded. Its projections are stacked time-major into
     one (frames, B, 4 * units) array, and one step loop runs over all rows,
-    keeping only the current step. No product mixes rows, and with at least
-    16 rows OpenBLAS computes each row of a product the same for any row
-    count. Below 16 it can take its small-matrix kernel, so the bits are
-    model_forward's when every batch holds at least 16 rows or there is one
-    batch: evaluate scores a smaller batch in a call of its own."""
+    keeping only the current step. Only the recurrent and output products
+    read more than one row, and they run per row group: all batches of 16 or
+    more rows form one group, as OpenBLAS computes each row of a product of
+    at least 16 rows the same for any row count, and each smaller batch is a
+    group of its own, as below 16 rows it can take its small-matrix kernel."""
     x = _check_features(features, params)
     b, t, _ = x.shape
     # padding frames have ReLU rows of zero unless some conv_b > 0 (or NaN);
@@ -385,8 +398,11 @@ def model_score(features, params: ModelParams, batch_size: int):
     for s, (rows, _) in zip(starts, stages):
         xw[:len(rows), s:s + batch_size] = rows
         xw[len(rows):, s:s + batch_size] = fill
-    h, _ = _recurrence(xw, fill, t, params, keep=False)
-    return _output(h, params)
+    # a group ends before each batch under 16 rows and after it
+    edges = [0, *(s for s in starts[1:] if batch_size < 16 or b - s < 16), b]
+    groups = list(zip(edges, edges[1:]))
+    h, _ = _recurrence(xw, fill, t, params, keep=False, groups=groups)
+    return _output(h, params, groups)
 
 
 def bce_from_logit(logit, y):
@@ -457,20 +473,23 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
     lstm_b = dz_flat.sum(axis=0)
 
     # flatten -> ReLU mask -> convolution. dflat reaches dpre only through an
-    # active ReLU unit: it is computed for the frames before the mask's
-    # trailing inactive frames (see _live_frames; padding is inactive unless
-    # some conv_b > 0), and dpre is zero after them
+    # active ReLU unit: it is computed for the input's live frames (see
+    # _live_frames), as the padding is inactive unless some conv_b > 0 (then
+    # for all frames), and dpre is zero after them
     k, _, filters = params.conv_w.shape
-    mask = trace.conv_pre > 0.0
-    n = _live_frames(mask)
+    n = t if (params.conv_b > 0).any() else _live_frames(trace.x)
+    mask = trace.conv_pre[:, :n] > 0.0
     dflat = dz_flat.reshape(b, t, 4 * u)[:, :n].reshape(b * n, 4 * u) @ params.lstm_w
     dpre = np.empty((b, t, m, filters), dtype=dflat.dtype)
-    np.multiply(dflat.reshape(b, n, m, filters), mask[:, :n], out=dpre[:, :n])
+    np.multiply(dflat.reshape(b, n, m, filters), mask, out=dpre[:, :n])
     dpre[:, n:] = 0.0
     conv_w = trace.windows.transpose(3, 0, 1, 2).reshape(k, -1) @ dpre.reshape(-1, filters)
+    conv_b = dpre[:, :n].sum(axis=(0, 1, 2))
+    if n < t:
+        conv_b += 0.0  # the skipped frames' +0 terms turn a -0 sum into +0
     grads = {
         "conv_w": conv_w.reshape(k, 1, filters),
-        "conv_b": dpre.sum(axis=(0, 1, 2)),
+        "conv_b": conv_b,
         "lstm_w": lstm_w,
         "lstm_u": lstm_u,
         "lstm_b": lstm_b,

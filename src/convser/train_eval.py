@@ -323,15 +323,12 @@ class GridFailure:
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int):
     """Score (B, T, n_mfcc) inputs against labels y in batches of batch_size.
 
-    Returns (mean loss, accuracy, per-sample predictions at threshold 0.5).
-    Training's per-epoch curves, its final validation metrics and
-    `convser evaluate` all come from this function."""
-    # batches of 16 rows or more share one call; a smaller batch (a remainder,
-    # or each batch when batch_size < 16) gets its own (see model_score)
-    cut = len(x) - len(x) % batch_size if batch_size >= 16 else 0
-    parts = [x[:cut]] + [x[s:s + batch_size] for s in range(cut, len(x), batch_size)]
-    scores = [model_score(part, params, batch_size) for part in parts if len(part)]
-    prob, logit = (np.concatenate(column) for column in zip(*scores))
+    Returns (mean loss, accuracy, per-sample predictions at threshold 0.5),
+    from the bits model_forward gives batch by batch; one model_score call
+    runs one step loop over all rows, remainder batch included. Training's
+    per-epoch curves, its final validation metrics and `convser evaluate`
+    all come from this function."""
+    prob, logit = model_score(x, params, batch_size)
     preds = (prob >= 0.5).astype(int)
     accuracy = float((preds == y).mean())
     return float(bce_from_logit(logit, y).mean()), accuracy, preds

@@ -309,6 +309,40 @@ class TestMatchesPerGateReference:
 
         assert reference_mismatches(x, y, params, same=close) == []
 
+    # T = 60 with 1..8 live frames per sample, as in the benchmark's batches:
+    # model_backward reads the ReLU mask of the input's live frames only,
+    # unless the 5-row batch keeps too few live rows to skip any (longest 1)
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    @pytest.mark.parametrize("batch", [16, 5])
+    @pytest.mark.parametrize("longest", [8, 1])
+    def test_benchmark_shape_bit_identical(self, config, dtype, bias, batch, longest):
+        params = conv_bias(random_params(config, 7, scale=0.2), bias).astype(dtype)
+        x = padded_batch(config, batch, longest, dtype, seed=batch + longest)
+        y = (np.arange(batch) % 2).astype(dtype)
+        assert reference_mismatches(x, y, params) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_match_reference(self, dtype):
+        # dense around the thresholds where exp(-|x|) turns subnormal and then
+        # zero (about 88 and 104 in float32, 708 and 745 in float64)
+        info = np.finfo(dtype)
+        edges = (88.0, 104.0) if dtype == np.float32 else (708.0, 745.0)
+        dense = [np.linspace(edge - 2, edge + 2, 40001, dtype=dtype) for edge in edges]
+        tiny = np.array([info.tiny, info.smallest_subnormal, info.tiny / 3], dtype)
+        x = np.concatenate(dense + [np.linspace(-30, 30, 60001, dtype=dtype), tiny,
+                                    np.array([0.0, np.inf, info.max], dtype)])
+        x = np.concatenate([x, -x, np.array([np.nan], dtype)])
+        with np.errstate(all="ignore"):
+            got, want = _sigmoid(x), reference_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        # NaN stays NaN; its sign bit is not part of the contract
+        assert same_bits(got[~nan], want[~nan])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_edge_values(self, dtype):
         x = np.array([0.0, -0.0, 88.0, -88.0, 1e4, -1e4, np.nan], dtype=dtype)
@@ -605,7 +639,7 @@ class TestModelScore:
             x = scoring_input(config, rows, kind, dtype, seed=rows)
             y = (np.arange(rows) % 3 == 0).astype(dtype)
             prob, logit = batchwise_forward(x, params)
-            # evaluate scores the full batches in one call and the rest in another
+            # the full batches in one call and the rest in another give the same bits
             cut = rows - rows % 16
             parts = [model_score(part, params, 16) for part in (x[:cut], x[cut:]) if len(part)]
             assert same_bits(np.concatenate([p for p, _ in parts]), prob), rows
@@ -616,9 +650,47 @@ class TestModelScore:
             assert loss == float(bce_from_logit(logit, y).mean()), rows
             assert accuracy == float((want == y).mean()), rows
 
+    # one call over every row, remainder included: batches of 16 rows or
+    # more share the step loop's products, each smaller batch runs its own
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_size", [2, 4, 16, 32])
+    def test_one_call_over_all_rows(self, config, dtype, batch_size):
+        params = conv_bias(random_params(config, 5, scale=0.2), "zero").astype(dtype)
+        for kind, rows in enumerate(self.ROWS):
+            x = scoring_input(config, rows, kind, dtype, seed=rows + 1)
+            y = (np.arange(rows) % 2).astype(dtype)
+            prob, logit = batchwise_forward(x, params, batch_size)
+            got_prob, got_logit = model_score(x, params, batch_size)
+            assert same_bits(got_prob, prob), rows
+            assert same_bits(got_logit, logit), rows
+            loss, accuracy, preds = evaluate(params, x, y, batch_size)
+            want = (prob >= 0.5).astype(int)
+            assert same_bits(preds, want), rows
+            assert loss == float(bce_from_logit(logit, y).mean()), rows
+            assert accuracy == float((want == y).mean()), rows
+
+    def test_all_zero_rows(self):
+        # an all-zero batch has no live frame at all; it is scored as
+        # model_forward scores it, alone and as the remainder of 20 rows
+        config = replace(M1_13, max_frames=60)
+        params = random_params(config, 7, scale=0.2).astype(np.float32)
+        params.conv_b[...] = 0.0
+        tail = scoring_input(config, 20, 0, np.float32, seed=6)
+        tail[16:] = 0.0
+        for x in (np.zeros((4, 60, 13), np.float32), tail):
+            y = (np.arange(len(x)) % 2).astype(np.float32)
+            prob, logit = batchwise_forward(x, params)
+            got_prob, got_logit = model_score(x, params, 16)
+            assert same_bits(got_prob, prob) and same_bits(got_logit, logit)
+            loss, _, preds = evaluate(params, x, y, 16)
+            assert loss == float(bce_from_logit(logit, y).mean())
+            assert same_bits(preds, (prob >= 0.5).astype(int))
+
     @pytest.mark.parametrize("batch_size", [2, 4])
     def test_evaluate_in_batches_under_16_rows(self, batch_size):
-        # one step loop over all rows rounds these differently (small-matrix kernel)
+        # each batch runs its own products (small-matrix kernel below 16 rows)
         config = replace(M1_13, lstm_units=40, max_frames=60)
         params = random_params(config, 3, scale=0.2).astype(np.float32)
         x = scoring_input(config, 29, 0, np.float32, seed=4)
@@ -669,6 +741,32 @@ class TestBackward:
             (p,), trace = model_forward(x, params)
             grads = model_backward(trace, np.array([y]), params)
             assert float(grads.dense_b) == pytest.approx(p - y, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_b_gradient_of_a_dead_filter_is_plus_zero(self, dtype):
+        # Filter 0 is never active, so its dpre entries on the live frame are
+        # dflat * 0, all -0 here as its dflat columns are negative; the sum
+        # over every frame, padding (+0) included, is +0, and so must be the
+        # sum over the live frame the backward pass reads. 16 identical
+        # samples with one live frame: the padding is skipped.
+        config = replace(M1_13, max_frames=20)
+        params = conv_bias(random_params(config, 7, scale=0.2), "zero")
+        params.conv_w[:, 0, 0] = 0.0
+        x = np.zeros((16, 20, 13))
+        x[:, 0] = np.random.default_rng(5).uniform(-1, 1, 13)
+        y = np.zeros(16)
+        params = params.astype(dtype)
+        x, y = x.astype(dtype), y.astype(dtype)
+        _, trace = model_forward(x, params)
+        # filter 0's columns do not reach the forward pass (their ReLU input is
+        # 0), so dz stays as it is; the lstm_w gradient of a live column j is
+        # 16 * flat[j] * dz at frame 0, and -1 times it gives dflat = -c|dz|^2
+        j = int(np.flatnonzero(trace.flat[0, 0])[0])
+        grad = model_backward(trace, y, params).lstm_w[:, j]
+        params.lstm_w[:, ::config.filters] = -grad[:, None]
+        _, trace = model_forward(x, params)
+        conv_b = model_backward(trace, y, params).conv_b
+        assert conv_b[0] == 0.0 and not np.signbit(conv_b[0])
 
     def test_dead_paths_have_zero_gradient(self):
         params = init_params(TINY, 0)
