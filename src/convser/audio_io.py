@@ -258,12 +258,13 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         else:
             seen_ids[rec_id] = line_no
 
+        # type() rather than isinstance(): JSON true is a bool, and bool is an int
         label = obj["label"]
-        if label not in (0, 1):
-            violations.append(f"line {line_no}: label {label!r} outside {{0, 1}}")
+        if type(label) is not int or label not in (0, 1):
+            violations.append(f"line {line_no}: label {label!r} is not the integer 0 or 1")
         topic = obj["topic_id"]
-        if not isinstance(topic, int) or not 1 <= topic <= 4:
-            violations.append(f"line {line_no}: topic_id {topic!r} outside 1..4")
+        if type(topic) is not int or not 1 <= topic <= 4:
+            violations.append(f"line {line_no}: topic_id {topic!r} is not an integer in 1..4")
         if obj["position"] not in POSITIONS:
             violations.append(f"line {line_no}: position {obj['position']!r} not in {POSITIONS}")
         if obj["augmentation"] not in AUGMENTATIONS:
@@ -279,9 +280,9 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
                 id=rec_id,
                 path=str(obj["path"]),
                 speaker_id=str(obj["speaker_id"]),
-                topic_id=topic if isinstance(topic, int) else -1,
+                topic_id=topic,
                 position=str(obj["position"]),
-                label=label if label in (0, 1) else -1,
+                label=label,
                 group_id=str(obj["group_id"]),
                 augmentation=str(obj["augmentation"]),
             )

@@ -24,21 +24,22 @@ form, so traces and gradients are bit-identical to it (the per-gate form is
 the reference in the tests).
 
 Samples are zero-padded at the tail to a fixed frame count, and the products
-skip that padding. The convolution, its ReLU and the LSTM input projection
-run over the frames before the batch's trailing all-zero frames only, and so
-do the input gradient dflat, the ReLU mask it passes through and the conv_b
-gradient, unless some conv_b > 0 makes the padding active; then they run
-over all frames. An all-zero frame's product row is exactly +0 for finite
-weights, so skipped frames get the bias terms a full-size product gives them
-(0 + conv_b, its ReLU, 0 + lstm_b) and dpre rows of zero. The two products
-that sum over the B*T rows, the lstm_w and conv_w gradients, stay full-size,
-as fewer rows would change how BLAS blocks the sum; the LSTM step loops run
-all T steps. The bits equal the full-size form's as long as each shorter
-product runs the same BLAS kernel. OpenBLAS on AVX-512 rounds a small
-product with a small-matrix kernel, so _live_frames skips padding only when
-the live frames keep at least 16 rows, and only when the padding is at least
-a quarter of the frames, where skipping pays. With OpenBLAS 0.3.31 every
-grid shape then keeps its kernel; a BLAS that draws the small-kernel line
+skip that padding. _conv_relu decides once per batch how many leading frames
+n every product runs over (see _live_frames): the frames before the batch's
+trailing all-zero frames, or all T when some conv_b > 0 (or NaN) makes the
+padding active. The convolution, its ReLU, the LSTM input projection, the
+input gradient dflat, the ReLU mask it passes through and the conv_b
+gradient all read that n. An all-zero frame's product row is exactly +0 for
+finite weights, so skipped frames get the bias terms a full-size product
+gives them (0 + conv_b, a ReLU of +0, 0 + lstm_b) and dpre rows of zero. The
+two products that sum over the B*T rows, the lstm_w and conv_w gradients,
+stay full-size, as fewer rows would change how BLAS blocks the sum; the LSTM
+step loops run all T steps. The bits equal the full-size form's as long as
+each shorter product runs the same BLAS kernel. OpenBLAS on AVX-512 rounds a
+small product with a small-matrix kernel, so padding is skipped only when
+the live frames keep at least 16 rows, and only when it is at least a
+quarter of the frames, where skipping pays. With OpenBLAS 0.3.31 every grid
+shape then keeps its kernel; a BLAS that draws the small-kernel line
 elsewhere may give a batch of a few samples other last bits than the
 full-size form. Every run still repeats its own bits.
 """
@@ -153,6 +154,7 @@ class ForwardTrace:
     """Per-layer activations cached by the forward pass for backprop."""
 
     x: np.ndarray            # (B, T, n_mfcc)
+    live: int                # leading frames the products ran over (see _conv_relu)
     windows: np.ndarray      # (B, T, n_mfcc, kernel) zero-padded input windows
     conv_pre: np.ndarray     # (B, T, n_mfcc, filters) pre-ReLU
     flat: np.ndarray         # (B, T, flat_width) LSTM inputs
@@ -217,13 +219,10 @@ def _check_features(features, params: ModelParams):
     return x
 
 
-def _live_frames(x, frames=None):
-    """The number n of leading frames the products of a (B, T, ...) batch run
-    over: the frames before its trailing all-zero frames, x[:, n:] being zero
-    in every sample, when those number at least T // 4 and the n live frames
-    hold no rows or at least 16 (B * n); otherwise n = T. Given frames, x
-    holds the first frames of a batch of T = frames frames whose other frames
-    are zero.
+def _live_frames(x):
+    """The frames before the trailing all-zero frames of a (B, T, ...) batch,
+    x[:, n:] being zero in every sample, when those number at least T // 4
+    and the n live frames hold no rows or at least 16 (B * n); otherwise T.
 
     Skipping costs a copy of the live rows and fresh arrays for the results;
     on C6-shaped M8-40 batches (T = 60) it paid from about 8 skipped frames
@@ -236,7 +235,7 @@ def _live_frames(x, frames=None):
     the frames with a non-zero value in any sample (reducing over samples
     first, as numpy reduces short rows slowly)."""
     x = x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))  # -1 cannot size 0 frames
-    t = x.shape[1] if frames is None else frames
+    t = x.shape[1]
     limit = t - t // 4  # frames limit.. must all be zero for any to be skipped
     if x[:, limit:limit + 1].any():
         return t
@@ -263,36 +262,34 @@ def _add_bias(rows, bias, t):
 
 
 def _conv_relu(x, params: ModelParams, full: bool):
-    """Convolution, + conv_b and ReLU of a (B, T, n_mfcc) batch over its n
-    live frames (see _live_frames). Returns the input windows, conv_pre and
+    """Convolution, + conv_b and ReLU of a (B, T, n_mfcc) batch, and the one
+    live-frame decision of the batch: n = _live_frames(x) when every
+    conv_b <= 0, else n = T, since a positive (or NaN) conv_b makes the
+    padding's ReLU rows non-zero. Returns n, the input windows, conv_pre and
     the ReLU output flattened per frame, (B, frames, flat_width), where
-    frames is T when full (frames n.. hold 0 + conv_b and its ReLU, see
-    _add_bias) and n otherwise."""
+    frames is T when full (frames n.. hold 0 + conv_b, see _add_bias, and a
+    ReLU of +0) and n otherwise."""
     b, t, m = x.shape
     k, filters = params.config.kernel_size, params.config.filters
     windows = _conv_windows(x, k)
-    n = _live_frames(x)
+    n = _live_frames(x) if (params.conv_b <= 0).all() else t
     conv_pre = _add_bias(
         (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters),
         params.conv_b, t if full else n)
     relu = np.empty_like(conv_pre)
     np.maximum(conv_pre[:, :n], 0.0, out=relu[:, :n])
-    relu[:, n:] = np.maximum(conv_pre[:1, n:n + 1], 0.0)
+    relu[:, n:] = 0.0
     # row-major flatten of each timestep: coefficient outer, filter inner
-    return windows, conv_pre, relu.reshape(conv_pre.shape[:2] + (m * filters,))
+    return n, windows, conv_pre, relu.reshape(conv_pre.shape[:2] + (m * filters,))
 
 
-def _project(inputs, params: ModelParams, frames):
-    """The LSTM input projection + lstm_b of a (B, n, flat_width) input that
-    holds the first n of a batch's frames, the rest being zero. Returns the
-    time-major (n', B, 4 * units) rows of its n' live frames (see
-    _live_frames) and the (4 * units,) row every later frame gets, 0 + lstm_b
-    (a zero frame's product row is exactly +0)."""
-    b, _, d = inputs.shape
-    n = _live_frames(inputs, frames)
-    xw = (inputs[:, :n].reshape(b * n, d) @ params.lstm_w.T).reshape(b, n, len(params.lstm_b))
+def _project(inputs, params: ModelParams):
+    """The LSTM input projection + lstm_b of every frame of a (B, n,
+    flat_width) input, as time-major (n, B, 4 * units) rows."""
+    b, n, d = inputs.shape
+    xw = (inputs.reshape(b * n, d) @ params.lstm_w.T).reshape(b, n, len(params.lstm_b))
     xw += params.lstm_b
-    return xw.transpose(1, 0, 2), np.zeros((), xw.dtype) + params.lstm_b
+    return xw.transpose(1, 0, 2)
 
 
 def _matmul_rows(a, w, groups=None):
@@ -345,31 +342,31 @@ def _output(h, params: ModelParams, groups=None):
     return _clamp_prob(_sigmoid(logit)), logit
 
 
-def lstm_forward(inputs, params: ModelParams):
+def lstm_forward(inputs, params: ModelParams, live=None):
     """Run the LSTM over all timesteps from h0 = c0 = 0, returning the final
     hidden state and the per-step quantities needed for backprop.
 
-    The input projection is one GEMM over the frames before the input's own
-    trailing all-zero frames (when they are at least a quarter of the
-    frames, see _live_frames); those frames get 0 + lstm_b. With ReLU inputs
-    that is the batch's padding unless some conv_b > 0. The step loop runs
-    all timesteps."""
+    The input projection is one GEMM over the first `live` frames, all of
+    them by default; model_forward passes the count _conv_relu chose, and
+    every later frame gets 0 + lstm_b, the row a full-size product gives a
+    zero frame. The step loop runs all timesteps."""
     x = _check_batch(inputs)
     t, d = x.shape[1:]
     if d != params.lstm_w.shape[1]:
         raise ParameterError(f"lstm input width {d} != weight width {params.lstm_w.shape[1]}")
-    return _recurrence(*_project(x, params, t), t, params, keep=True)
+    xw = _project(x[:, :live], params)
+    return _recurrence(xw, np.zeros((), xw.dtype) + params.lstm_b, t, params, keep=True)
 
 
 def model_forward(features, params: ModelParams):
     """Full forward pass over a (B, T, n_mfcc) batch; returns the (B,)
     probabilities and the ForwardTrace that model_backward reads."""
     x = _check_features(features, params)
-    windows, conv_pre, flat = _conv_relu(x, params, full=True)
-    h_final, lstm_cache = lstm_forward(flat, params)
+    live, windows, conv_pre, flat = _conv_relu(x, params, full=True)
+    h_final, lstm_cache = lstm_forward(flat, params, live)
     prob, logit = _output(h_final, params)
-    trace = ForwardTrace(x=x, windows=windows, conv_pre=conv_pre, flat=flat, **lstm_cache,
-                         h_final=h_final, logit=logit, prob=prob)
+    trace = ForwardTrace(x=x, live=live, windows=windows, conv_pre=conv_pre, flat=flat,
+                         **lstm_cache, h_final=h_final, logit=logit, prob=prob)
     return prob, trace
 
 
@@ -379,23 +376,21 @@ def model_score(features, params: ModelParams, batch_size: int):
 
     The input stage runs per batch_size rows, exactly as in model_forward,
     so its memory stays bounded. Its projections are stacked time-major into
-    one (frames, B, 4 * units) array, and one step loop runs over all rows,
-    keeping only the current step. Only the recurrent and output products
-    read more than one row, and they run per row group: all batches of 16 or
-    more rows form one group, as OpenBLAS computes each row of a product of
-    at least 16 rows the same for any row count, and each smaller batch is a
-    group of its own, as below 16 rows it can take its small-matrix kernel."""
+    one (frames, B, 4 * units) array, each batch's frames after its live
+    ones holding 0 + lstm_b, and one step loop runs over all rows, keeping
+    only the current step. Only the recurrent and output products read more
+    than one row, and they run per row group: all batches of 16 or more rows
+    form one group, as OpenBLAS computes each row of a product of at least
+    16 rows the same for any row count, and each smaller batch is a group of
+    its own, as below 16 rows it can take its small-matrix kernel."""
     x = _check_features(features, params)
     b, t, _ = x.shape
-    # padding frames have ReLU rows of zero unless some conv_b > 0 (or NaN);
-    # then the projection runs full-size, as in model_forward
-    full = not (params.conv_b <= 0).all()
     starts = range(0, b, batch_size)
-    stages = [_project(_conv_relu(x[s:s + batch_size], params, full)[2], params, t)
+    stages = [_project(_conv_relu(x[s:s + batch_size], params, full=False)[3], params)
               for s in starts]
-    fill = stages[0][1]
-    xw = np.empty((max(len(rows) for rows, _ in stages), b, len(fill)), fill.dtype)
-    for s, (rows, _) in zip(starts, stages):
+    fill = np.zeros((), np.result_type(x, params.lstm_w)) + params.lstm_b
+    xw = np.empty((max(map(len, stages), default=0), b, len(fill)), fill.dtype)
+    for s, rows in zip(starts, stages):
         xw[:len(rows), s:s + batch_size] = rows
         xw[len(rows):, s:s + batch_size] = fill
     # a group ends before each batch under 16 rows and after it
@@ -473,11 +468,10 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
     lstm_b = dz_flat.sum(axis=0)
 
     # flatten -> ReLU mask -> convolution. dflat reaches dpre only through an
-    # active ReLU unit: it is computed for the input's live frames (see
-    # _live_frames), as the padding is inactive unless some conv_b > 0 (then
-    # for all frames), and dpre is zero after them
+    # active ReLU unit, so it is computed for the frames the forward pass ran
+    # over (see _conv_relu), and dpre is zero after them
     k, _, filters = params.conv_w.shape
-    n = t if (params.conv_b > 0).any() else _live_frames(trace.x)
+    n = trace.live
     mask = trace.conv_pre[:, :n] > 0.0
     dflat = dz_flat.reshape(b, t, 4 * u)[:, :n].reshape(b * n, 4 * u) @ params.lstm_w
     dpre = np.empty((b, t, m, filters), dtype=dflat.dtype)

@@ -182,6 +182,7 @@ def separable_corpus(tmp_path_factory):
     return {"originals": manifest, "merged": merged}
 
 
+@pytest.mark.slow
 def test_c6_desk_scale_learnability(separable_corpus):
     start = time.perf_counter()
     originals = separable_corpus["originals"]
@@ -225,6 +226,7 @@ def test_c6_desk_scale_learnability(separable_corpus):
     )
 
 
+@pytest.mark.slow
 def test_c7_null_corpus_chance_band(tmp_path):
     manifest = generate_corpus(SynthSpec.null(n_originals=38, duration_s=10.0, seed=42),
                                tmp_path / "src")

@@ -243,6 +243,14 @@ class TestManifest:
         with pytest.raises(ManifestError, match="line 2"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("field, value", [("label", True), ("label", False),
+                                              ("label", 1.0), ("topic_id", True)])
+    def test_non_integer_label_or_topic_names_line(self, tmp_path, field, value):
+        lines = [record_line(0, 1), json.dumps(json.loads(record_line(1, 0)) | {field: value})]
+        path = self.write_corpus(tmp_path, lines, 2)
+        with pytest.raises(ManifestError, match=f"line 2: {field} {value!r} is not"):
+            load_manifest(path)
+
     def test_missing_file(self, tmp_path):
         lines = [record_line(0, 1), record_line(1, 0, path="nope.wav")]
         path = self.write_corpus(tmp_path, lines, 2)

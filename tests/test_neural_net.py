@@ -241,6 +241,25 @@ def conv_bias(params, kind):
     return params
 
 
+def dead_relu_batch(config, rows, live, dtype, seed):
+    """rows samples whose first 3 frames are random, frames 3..live positive
+    and later frames zero, with params from negative_conv: x has `live` live
+    frames, its ReLU output 3."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((rows, config.max_frames, config.n_mfcc), dtype)
+    x[:, :3] = rng.uniform(-1, 1, (rows, 3, config.n_mfcc))
+    x[:, 3:live] = rng.uniform(0.1, 1, (rows, live - 3, config.n_mfcc))
+    return x
+
+
+def negative_conv(params):
+    """params with every conv_w entry negative and conv_b zero, so that a
+    positive frame has a ReLU row of zero."""
+    params.conv_w[...] = -0.01 - np.abs(params.conv_w)
+    params.conv_b[...] = 0.0
+    return params
+
+
 class TestMatchesPerGateReference:
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("batch", [1, 16])
@@ -324,6 +343,21 @@ class TestMatchesPerGateReference:
         y = (np.arange(batch) % 2).astype(dtype)
         assert reference_mismatches(x, y, params) == []
 
+    # x has more live frames than its ReLU output: every product runs over
+    # the live frames of x, the ReLU rows of zero after the third included
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("live", [8, 20])
+    def test_zero_relu_frames_bit_identical(self, config, dtype, live):
+        params = negative_conv(random_params(config, 7, scale=0.2)).astype(dtype)
+        x = dead_relu_batch(config, 16, live, dtype, seed=live)
+        _, trace = model_forward(x, params)
+        assert trace.live == live
+        assert trace.flat[:, 2].any() and not trace.flat[:, 3:].any()
+        y = (np.arange(16) % 2).astype(dtype)
+        assert reference_mismatches(x, y, params) == []
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_bits_match_reference(self, dtype):
         # dense around the thresholds where exp(-|x|) turns subnormal and then
@@ -386,13 +420,6 @@ class TestLiveFrames:
     def test_all_zero_and_unpadded_batches(self):
         assert _live_frames(np.zeros((2, 20, 4))) == 0
         assert _live_frames(np.ones((2, 20, 4))) == 20
-
-    def test_frames_beyond_the_array_count_as_zero(self):
-        x = np.ones((4, 6, 2))
-        x[:, 5:] = 0.0
-        assert _live_frames(x, frames=20) == 5
-        assert _live_frames(x[:1], frames=20) == 20  # 5 live rows: under 16
-        assert _live_frames(np.ones((4, 16, 2)), frames=20) == 20  # padding under a quarter
 
     def test_reads_any_trailing_axes(self):
         mask = np.zeros((4, 8, 3, 2), dtype=bool)
@@ -670,6 +697,29 @@ class TestModelScore:
             assert same_bits(preds, want), rows
             assert loss == float(bce_from_logit(logit, y).mean()), rows
             assert accuracy == float((want == y).mean()), rows
+
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("live", [8, 20])
+    def test_zero_relu_frames(self, config, dtype, live):
+        # x has more live frames than its ReLU output (see dead_relu_batch)
+        params = negative_conv(random_params(config, 7, scale=0.2)).astype(dtype)
+        for rows in (16, 37):
+            x = dead_relu_batch(config, rows, live, dtype, seed=rows + live)
+            prob, logit = batchwise_forward(x, params)
+            got_prob, got_logit = model_score(x, params, 16)
+            assert same_bits(got_prob, prob), rows
+            assert same_bits(got_logit, logit), rows
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_rows(self, dtype):
+        params = init_params(TINY, 0, dtype)
+        x = np.zeros((0, 6, 5), dtype)
+        prob, trace = model_forward(x, params)
+        got_prob, got_logit = model_score(x, params, 16)
+        assert got_prob.shape == (0,)
+        assert same_bits(got_prob, prob) and same_bits(got_logit, trace.logit)
 
     def test_all_zero_rows(self):
         # an all-zero batch has no live frame at all; it is scored as
