@@ -32,16 +32,18 @@ input gradient dflat, the ReLU mask it passes through and the conv_b
 gradient all read that n. An all-zero frame's product row is exactly +0 for
 finite weights, so skipped frames get the bias terms a full-size product
 gives them (0 + conv_b, a ReLU of +0, 0 + lstm_b) and dpre rows of zero. The
-two products that sum over the B*T rows, the lstm_w and conv_w gradients,
-stay full-size, as fewer rows would change how BLAS blocks the sum; the LSTM
-step loops run all T steps. The bits equal the full-size form's as long as
-each shorter product runs the same BLAS kernel. OpenBLAS on AVX-512 rounds a
-small product with a small-matrix kernel, so padding is skipped only when
-the live frames keep at least 16 rows, and only when it is at least a
-quarter of the frames, where skipping pays. With OpenBLAS 0.3.31 every grid
-shape then keeps its kernel; a BLAS that draws the small-kernel line
-elsewhere may give a batch of a few samples other last bits than the
-full-size form. Every run still repeats its own bits.
+two products that sum over all B*T rows, the lstm_w and conv_w gradients,
+sum the live rows only, one product per K-block of the full-size product
+(see _padded_product), which gives the bits the full-size product has on one
+OpenBLAS thread, on any number of threads. The LSTM step loops run all T
+steps. The bits equal the full-size form's as long as each shorter product
+runs the same BLAS kernel. OpenBLAS on AVX-512 rounds a small product with a
+small-matrix kernel, so padding is skipped only when the live frames keep at
+least 16 rows, and only when it is at least a quarter of the frames, where
+skipping pays. With OpenBLAS 0.3.31 every grid shape then keeps its kernel;
+a BLAS that draws the small-kernel line elsewhere, or blocks its sums
+otherwise, may give other last bits than the full-size form. Every run still
+repeats its own bits.
 """
 
 from __future__ import annotations
@@ -400,6 +402,52 @@ def model_score(features, params: ModelParams, batch_size: int):
     return _output(h, params, groups)
 
 
+# OpenBLAS 0.3.31 (AVX-512 kernels) sums the K rows of a product on one
+# thread in blocks of GEMM_Q rows (the K-panel blocking of Goto and van de
+# Geijn, ACM TOMS 2008); a remainder of between Q and 2Q rows runs as two
+# blocks split at half its rows rounded up to 16, and a product with
+# M * N * K <= SMALL_MNK runs in one pass of its small-matrix kernel. On more
+# threads it splits such a remainder at (r + 1) // 2 instead. The values are
+# fitted to that build; tests/test_neural_net.py::TestPaddedProduct fails
+# for a BLAS that blocks otherwise.
+GEMM_Q = {np.dtype(np.float32): 448, np.dtype(np.float64): 384}
+SMALL_MNK = 10**6
+
+
+def _k_blocks(k, q):
+    """Edges of the blocks OpenBLAS sums k rows in on one thread, q rows a block."""
+    edges = [0]
+    while edges[-1] < k:
+        r = k - edges[-1]
+        edges.append(edges[-1] + (((r // 2 + 15) // 16) * 16 if q < r < 2 * q else min(r, q)))
+    return edges
+
+
+def _padded_product(a, w, samples, rows):
+    """a.T @ w of two (samples * rows)-row float32 or float64 arrays, one of
+    them zero in rows n.. of each sample's rows, given the live rows of both:
+    a (samples * n, p) and w (samples * n, q), each sample's first n rows in
+    order.
+
+    The result has the bits of the full-size product on one OpenBLAS thread,
+    at any thread count: it is the in-order sum of one product per K-block
+    of the full-size product (see _k_blocks), over that block's live rows.
+    No product has more rows than a block, so BLAS never splits its sum, and
+    the skipped rows' terms are zeros, which leave every partial sum as it
+    is."""
+    n = len(a) // samples
+    k = samples * rows
+    dtype = np.result_type(a, w)
+    edges = [0, k] if a.shape[1] * w.shape[1] * k <= SMALL_MNK else _k_blocks(k, GEMM_Q[dtype])
+    # a full-size row index -> the number of live rows before it
+    lives = [(e // rows) * n + min(e % rows, n) for e in edges]
+    out = np.zeros((a.shape[1], w.shape[1]), dtype)
+    for lo, hi in zip(lives, lives[1:]):
+        if lo < hi:
+            out += a[lo:hi].T @ w[lo:hi]
+    return out
+
+
 def bce_from_logit(logit, y):
     """Binary cross-entropy straight from the logit (numerically stable)."""
     z = np.asarray(logit, dtype=np.float64)
@@ -458,27 +506,24 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
         lstm_u += dz.T @ trace.h_prev[step]
         dh = dz @ params.lstm_u
         dc = dc * f
-    del act, slope, dtanh_cell  # freed before the large products below, to keep peak memory
-
-    # input projections of all timesteps reduce to single GEMMs; the two
-    # reductions over B*T rows (lstm_w here, conv_w below) stay full-size,
-    # since fewer rows would change how BLAS blocks the sum
+    del act, slope, dtanh_cell  # freed before the products below, to keep peak memory
     dz_flat = dz_all.transpose(1, 0, 2).reshape(b * t, 4 * u)
-    lstm_w = dz_flat.T @ trace.flat.reshape(b * t, -1)
     lstm_b = dz_flat.sum(axis=0)
 
-    # flatten -> ReLU mask -> convolution. dflat reaches dpre only through an
-    # active ReLU unit, so it is computed for the frames the forward pass ran
-    # over (see _conv_relu), and dpre is zero after them
+    # flatten -> ReLU mask -> convolution, over the frames the forward pass
+    # ran over (see _conv_relu): flat and windows are zero after them, so the
+    # lstm_w and conv_w gradients sum their live rows only (_padded_product),
+    # and dflat reaches dpre only through an active ReLU unit, so dpre is
+    # zero after them too
     k, _, filters = params.conv_w.shape
     n = trace.live
-    mask = trace.conv_pre[:, :n] > 0.0
-    dflat = dz_flat.reshape(b, t, 4 * u)[:, :n].reshape(b * n, 4 * u) @ params.lstm_w
-    dpre = np.empty((b, t, m, filters), dtype=dflat.dtype)
-    np.multiply(dflat.reshape(b, n, m, filters), mask, out=dpre[:, :n])
-    dpre[:, n:] = 0.0
-    conv_w = trace.windows.transpose(3, 0, 1, 2).reshape(k, -1) @ dpre.reshape(-1, filters)
-    conv_b = dpre[:, :n].sum(axis=(0, 1, 2))
+    dz_live = dz_flat.reshape(b, t, 4 * u)[:, :n].reshape(b * n, 4 * u)
+    lstm_w = _padded_product(dz_live, trace.flat[:, :n].reshape(b * n, m * filters), b, t)
+    dflat = dz_live @ params.lstm_w
+    dpre = np.multiply(dflat.reshape(b, n, m, filters), trace.conv_pre[:, :n] > 0.0)
+    conv_w = _padded_product(trace.windows[:, :n].reshape(b * n * m, k),
+                             dpre.reshape(b * n * m, filters), b, t * m)
+    conv_b = dpre.sum(axis=(0, 1, 2))
     if n < t:
         conv_b += 0.0  # the skipped frames' +0 terms turn a -0 sum into +0
     grads = {

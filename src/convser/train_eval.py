@@ -550,8 +550,10 @@ def map_tasks(fn, tasks, jobs: int, one_blas_thread: bool = False) -> list:
     sent once per worker, not once per task.
 
     one_blas_thread=True runs each worker's OpenBLAS on one thread. Training
-    results do not depend on the thread count, but the feature stores' bytes
-    do, so feature extraction and the corpus commands leave it alone. The
+    a grid shape gives the same bits on any thread count (the gradient sums
+    over all frames keep one thread's K-blocks, see
+    neural_net._padded_product), but the feature stores' bytes depend on it,
+    so feature extraction and the corpus commands leave it alone. The
     calling process is never pinned."""
     workers = min(jobs, len(tasks))
     if workers <= 1:

@@ -22,8 +22,8 @@ from convser.neural_net import (
     model_score,
     save_model,
 )
-from convser.neural_net import _live_frames, _sigmoid
-from convser.train_eval import evaluate
+from convser.neural_net import _live_frames, _padded_product, _sigmoid
+from convser.train_eval import _openblas_setter, evaluate
 
 TINY = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
 
@@ -887,6 +887,77 @@ class TestBackward:
         grads = model_backward(trace, np.ones(3), params)
         for name in params.TENSOR_NAMES:
             assert getattr(grads, name).shape == getattr(params, name).shape
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count setter, the count restored afterwards."""
+    found = _openblas_setter()
+    if found is None:
+        pytest.skip("no OpenBLAS thread-count function in this process")
+    lib, setter = found
+    before = getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+    yield setter
+    setter(before)
+
+
+class TestPaddedProduct:
+    # (p, q, samples, rows): a.T @ w is (p, q) and sums samples * rows rows.
+    # At 160 x 1280 (the M8-40 lstm_w gradient) 300 rows are one K-block and
+    # 600 two, split at 304, not at its half; 960 and 1,040 rows are three,
+    # the last 512 or 592 (float32) and 576 or 656 (float64) split in two,
+    # 1,040's at 304 and 336, past halves (296, 328) that are no multiple of
+    # 16. At 20 x 32 (M8-40 conv_w) 38,400 rows are 86 or 100 blocks. At
+    # 5 x 16 (M1-13 conv_w) 12,500 rows make M * N * K = 10**6, one pass of
+    # the small-matrix kernel, and 12,501 rows a blocked product.
+    SHAPES = [(160, 1280, 5, 60), (160, 1280, 10, 60), (160, 1280, 16, 60), (160, 1280, 16, 65),
+              (20, 32, 16, 2400), (5, 16, 10, 1250), (5, 16, 1, 12501)]
+
+    @staticmethod
+    def operands(p, q, samples, rows, live, dtype):
+        """Full-size a (no zero rows) and w (each sample's rows live.. zero)."""
+        rng = np.random.default_rng(samples * rows + live)
+        a = rng.standard_normal((samples, rows, p)).astype(dtype)
+        w = np.zeros((samples, rows, q), dtype)
+        w[:, :live] = rng.standard_normal((samples, live, q))
+        return a, w
+
+    # The full-size product's own bits depend on the thread count (OpenBLAS
+    # splits a remainder at (r + 1) // 2 on two threads), so the reference is
+    # computed on one thread, as in every pinned training worker.
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("live", ["0", "1", "rows-1", "rows"])
+    def test_bits_of_full_size_product_on_one_thread(self, blas_threads, shape, dtype, live):
+        p, q, samples, rows = shape
+        n = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows}[live]
+        a, w = self.operands(p, q, samples, rows, n, dtype)
+        blas_threads(1)
+        want = a.reshape(-1, p).T @ w.reshape(-1, q)
+        live_a = a[:, :n].reshape(samples * n, p)
+        live_w = w[:, :n].reshape(samples * n, q)
+        for threads in (1, 2):
+            blas_threads(threads)
+            assert same_bits(_padded_product(live_a, live_w, samples, rows), want)
+
+
+class TestGradientsIndependentOfThreads:
+    # A batch of 10 at T = 60 sums 600 rows in the lstm_w gradient, a
+    # remainder OpenBLAS splits at 304 rows on one thread and at 300 on two
+    @pytest.mark.parametrize("longest", [8, 60])
+    def test_batch_of_10_same_bits_on_1_and_2_threads(self, blas_threads, longest):
+        config = replace(M8_40, max_frames=60)
+        params = conv_bias(random_params(config, 7, scale=0.2), "zero").astype(np.float32)
+        x = padded_batch(config, 10, longest, np.float32, seed=10)
+        y = (np.arange(10) % 2).astype(np.float32)
+        grads = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            _, trace = model_forward(x, params)
+            assert trace.live == longest
+            grads.append(model_backward(trace, y, params))
+        assert [name for name in ModelParams.TENSOR_NAMES
+                if not same_bits(getattr(grads[0], name), getattr(grads[1], name))] == []
 
 
 class TestParams:
