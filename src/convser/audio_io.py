@@ -150,6 +150,8 @@ def load_wav(path) -> AudioBuffer:
         raise FormatError(f"{path}: missing data chunk")
 
     audio_format, channels, sample_rate, _, _, bits = fmt
+    if sample_rate == 0:
+        raise FormatError(f"{path}: header sample rate is 0")
     if channels not in (1, 2):
         raise UnsupportedCodecError(f"{path}: {channels} channels (only mono/stereo)")
     if (audio_format, bits) not in ((_PCM, 16), (_IEEE_FLOAT, 32)):
@@ -217,7 +219,7 @@ def resample_linear(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
 # --- Manifest ---------------------------------------------------------------
 
 
-def load_manifest(path, check_files: bool = True) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     """Load and validate a JSON-lines manifest.
 
     Loading is all-or-nothing: either every record passes validation or a
@@ -272,7 +274,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
                 f"line {line_no}: augmentation {obj['augmentation']!r} not in {AUGMENTATIONS}"
             )
         wav_path = root / str(obj["path"])
-        if check_files and not (wav_path.is_file() and os.access(wav_path, os.R_OK)):
+        if not (wav_path.is_file() and os.access(wav_path, os.R_OK)):
             violations.append(f"line {line_no}: file not readable: {obj['path']}")
 
         records.append(

@@ -185,17 +185,6 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _extract_one(task):
-    """One record's valid feature rows for each config, or the message of its
-    failure."""
-    wav_path, configs = task
-    try:
-        matrices = dsp_features.extract_widths(load_wav(wav_path), configs)
-    except Exception as exc:  # a failed record is reported, not silently skipped
-        return f"{type(exc).__name__}: {exc}"
-    return [fm.values[: fm.n_valid_frames].copy() for fm in matrices]
-
-
 def cmd_extract(args) -> int:
     cfg = _load_config_file(args.config)
     manifest = load_manifest(args.manifest)
@@ -215,21 +204,20 @@ def cmd_extract(args) -> int:
                                 FEATURE_FLAGS, n_mfcc=width), hashes)
         stale[width] = set(hashes) - fresh[width]
     # each record is read and transformed once for all the widths it lacks
-    tasks, records = [], []
+    extracted = dict.fromkeys(widths, 0)
     for rec in manifest.records:
         configs = [stores[w].config for w in widths if rec.id in stale[w]]
-        if configs:
-            tasks.append((manifest.resolve(rec), configs))
-            records.append(rec)
-    results = train_eval.map_tasks(_extract_one, tasks, args.jobs or 1)
-    extracted = dict.fromkeys(widths, 0)
-    for rec, (_, configs), result in zip(records, tasks, results):
-        if isinstance(result, str):
-            failures.append((rec.id, result))
+        if not configs:
             continue
-        for config, rows in zip(configs, result):
+        try:
+            matrices = dsp_features.extract_widths(load_wav(manifest.resolve(rec)), configs)
+        except Exception as exc:  # a failed record is reported, not silently skipped
+            failures.append((rec.id, f"{type(exc).__name__}: {exc}"))
+            continue
+        for config, fm in zip(configs, matrices):
             store = stores[config.n_mfcc]
-            store.rows[rec.id], store.hashes[rec.id] = rows, hashes[rec.id]
+            store.rows[rec.id] = fm.values[: fm.n_valid_frames].copy()
+            store.hashes[rec.id] = hashes[rec.id]
             extracted[config.n_mfcc] += 1
     for width in widths:
         if stale[width] or not fresh[width]:  # a warm run rewrites nothing
@@ -370,9 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes (default: one per usable core for synth, "
                              "augment and grid; for train, the fewest workers, at least one "
                              "per usable core, that split the shuffles evenly, e.g. 3 for 3 "
-                             "shuffles on 2 cores; 1 for extract; evaluate, predict and "
-                             "report run in one process); training workers run one BLAS "
-                             "thread each")
+                             "shuffles on 2 cores); extract, evaluate, predict and report "
+                             "run in one process; every worker runs one BLAS thread")
 
     parser = argparse.ArgumentParser(prog="convser", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

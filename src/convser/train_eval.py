@@ -459,7 +459,7 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
     fold_seeds = [train_config.seed + k for k in range(train_config.n_shuffles)]
     tasks = [(model_config, replace(train_config, seed=fold_seed), features, manifest)
              for fold_seed in fold_seeds]
-    folds = map_tasks(_run_fold, tasks, jobs, one_blas_thread=True)
+    folds = map_tasks(_run_fold, tasks, jobs)
     averaged, excluded = average_metrics([f.metrics for f in folds])
     return RunReport(
         model_id=grid_model_id(model_config),
@@ -519,15 +519,22 @@ def fold_workers(n_folds: int, cores: int) -> int:
 _worker_job = None
 
 
-def _start_worker(fn, tasks, one_blas_thread):
-    """Pool initializer: keep the pool's fn and tasks, and with one_blas_thread
-    run OpenBLAS on one thread, so that jobs workers keep jobs cores busy
-    instead of oversubscribing them."""
+def _start_worker(fn, tasks):
+    """Pool initializer: keep the pool's fn and tasks, and run OpenBLAS on one
+    thread when it can, so that jobs workers keep jobs cores busy instead of
+    oversubscribing them."""
     global _worker_job
     _worker_job = fn, tasks
-    if one_blas_thread:
-        _, setter = _openblas_setter()
+    found = _openblas_setter()
+    if found is not None:
+        lib, setter = found
         setter(1)
+        # The setter restarts the thread pool that fork took down, and its idle
+        # threads spin for about 0.1 s, taking half the cores from the workers;
+        # one thread needs no pool.
+        shutdown = getattr(lib, "blas_thread_shutdown_", None)
+        if shutdown is not None:
+            shutdown()
 
 
 def _run_task(index):
@@ -535,39 +542,38 @@ def _run_task(index):
     return fn(tasks[index])
 
 
-def map_tasks(fn, tasks, jobs: int, one_blas_thread: bool = False) -> list:
+def map_tasks(fn, tasks, jobs: int) -> list:
     """[fn(task) for task in tasks], in order: in this process when jobs <= 1,
     else in a pool of up to jobs worker processes. When fn raises, the first
     failed task's exception reaches the caller with its type and message
-    either way, from a pool only once no task is still running. The callers
-    that must keep the other tasks' results, cli._extract_one and _run_cell,
-    have fn return its failure instead. A worker that dies (killed, or out of memory)
-    raises ConvserError naming fn.
+    either way, from a pool only once no task is still running. A caller that
+    must keep the other tasks' results, like _run_cell, has fn return its
+    failure instead. A worker that dies (killed, or out of memory) raises
+    ConvserError naming fn.
 
     Workers are forked where the platform allows it: they inherit fn and the
     tasks, so neither needs to be picklable, and only task indices and
     results cross the pipes. Elsewhere fn and tasks must be picklable and are
     sent once per worker, not once per task.
 
-    one_blas_thread=True runs each worker's OpenBLAS on one thread. Training
-    a grid shape gives the same bits on any thread count (the gradient sums
-    over all frames keep one thread's K-blocks, see
-    neural_net._padded_product), but the feature stores' bytes depend on it,
-    so feature extraction and the corpus commands leave it alone. The
-    calling process is never pinned."""
+    Every worker runs OpenBLAS on one thread; the calling process is never
+    pinned. Training a grid shape gives the same bits on any thread count
+    (the gradient sums over all frames keep one thread's K-blocks, see
+    neural_net._padded_product), and the corpus commands make no BLAS call
+    large enough to thread."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
-    if one_blas_thread and _openblas_setter() is None:
-        log.warning("no OpenBLAS thread-count function found; each of %d training "
-                    "workers runs BLAS with its default thread count", workers)
-        one_blas_thread = False
+    if _openblas_setter() is None:
+        log.warning("no OpenBLAS thread-count function found; %d pool workers run BLAS "
+                    "with its default thread count, so training workers may "
+                    "oversubscribe the cores", workers)
     # fork is named, not left to the default: Python 3.14 defaults to forkserver
     fork = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(fork),
                                  initializer=_start_worker,
-                                 initargs=(fn, tasks, one_blas_thread)) as pool:
+                                 initargs=(fn, tasks)) as pool:
             return list(pool.map(_run_task, range(len(tasks))))
     except BrokenProcessPool as exc:
         name = getattr(fn, "__name__", repr(fn))
@@ -598,6 +604,6 @@ def run_grid(train_config: TrainConfig, features: dict, manifest: DatasetManifes
     tasks = [(model_config, train_config, features[width], manifest)
              for width in GRID_WIDTHS
              for model_config in grid_configs(width, features[width].shape[1])]
-    results = map_tasks(_run_cell, tasks, jobs, one_blas_thread=True)
+    results = map_tasks(_run_cell, tasks, jobs)
     cells = len(tasks) // len(GRID_WIDTHS)
     return {width: results[k * cells : (k + 1) * cells] for k, width in enumerate(GRID_WIDTHS)}

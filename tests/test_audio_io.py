@@ -87,6 +87,12 @@ class TestLoadWav:
         with pytest.raises(FormatError, match=f"partial.wav: data chunk of {n_bytes} bytes"):
             load_wav(path)
 
+    def test_zero_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        path.write_bytes(wav_bytes(1, 1, 0, 16, b"\x00" * 32))
+        with pytest.raises(FormatError, match="rate0.wav: header sample rate is 0"):
+            load_wav(path)
+
     def test_unsupported_codec(self, tmp_path):
         path = tmp_path / "mp3ish.wav"
         path.write_bytes(wav_bytes(85, 1, 44100, 16, b"\x00" * 32))

@@ -323,7 +323,11 @@ class TestExtract:
         assert sorted(pipeline["features"].iterdir()) == stores
         assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in stores] == before
 
-    def test_jobs_do_not_change_the_store(self, pipeline, tmp_path):
+    def test_jobs_do_not_change_the_store(self, pipeline, tmp_path, monkeypatch):
+        def no_pool(*_):
+            raise AssertionError("extract started a process pool")
+
+        monkeypatch.setattr(train_eval, "map_tasks", no_pool)  # extract runs in one process
         for jobs in (1, 2):
             assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
                        "--mfcc", "13", "--max-frames", 6, "--jobs", jobs,

@@ -471,7 +471,7 @@ def blas_thread_count(_=None):
                     reason="the stand-in fold reaches the workers by fork")
 @pytest.mark.skipif(train_eval._openblas_setter() is None,
                     reason="no OpenBLAS thread-count function in this process")
-def test_only_training_workers_run_one_blas_thread(monkeypatch):
+def test_pool_workers_run_one_blas_thread(monkeypatch):
     def fold_reporting_threads(model_config, train_config, features, manifest):
         return TrainResult(params=None, history={"blas_threads": blas_thread_count()},
                            metrics=MetricsReport(1.0, 1.0, 1.0, 1.0), counts=ConfusionCounts(),
@@ -488,14 +488,27 @@ def test_only_training_workers_run_one_blas_thread(monkeypatch):
                               40: toy_features(manifest, width=40)}, manifest, jobs=2)
     assert [h["blas_threads"] for width in (13, 40) for cell in cells[width]
             for h in cell.histories] == [1] * 32
-    # the pools of extract, synth and augment keep the inherited count
-    assert train_eval.map_tasks(blas_thread_count, [0, 1], 2) == [before, before]
+    assert train_eval.map_tasks(blas_thread_count, [0, 1], 2) == [1, 1]
     assert blas_thread_count() == before
+
+
+def thread_count(_=None):
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="forked workers inherit the stopped BLAS thread pool")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc to count threads")
+@pytest.mark.skipif(train_eval._openblas_setter() is None or not hasattr(
+    train_eval._openblas_setter()[0], "blas_thread_shutdown_"),
+    reason="no OpenBLAS thread-pool shutdown in this process")
+def test_pinned_workers_keep_no_idle_blas_thread():
+    assert train_eval.map_tasks(thread_count, [0, 1], 2) == [1, 1]
 
 
 def test_training_pool_without_openblas_warns_once_and_runs(monkeypatch, caplog):
     monkeypatch.setattr(train_eval, "_openblas_setter", lambda: None)
-    assert train_eval.map_tasks(abs, [-1, -2, -3], 2, one_blas_thread=True) == [1, 2, 3]
+    assert train_eval.map_tasks(abs, [-1, -2, -3], 2) == [1, 2, 3]
     warnings = [r for r in caplog.records if r.levelname == "WARNING"]
     assert len(warnings) == 1 and "no OpenBLAS thread-count function" in warnings[0].getMessage()
 
