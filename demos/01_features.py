@@ -7,7 +7,7 @@ result with the one-call extract_features().
 
 import numpy as np
 
-from convser.audio_io import AudioBuffer
+from convser.audio_io import CANONICAL_RATE, AudioBuffer
 from convser.dsp_features import (
     FeatureConfig,
     dct_matrix,
@@ -21,7 +21,7 @@ from convser.dsp_features import (
     normalize_centered,
 )
 
-rate = 44100
+rate = CANONICAL_RATE
 t = np.arange(3 * rate) / rate
 # a 160 Hz fundamental with a few tilted harmonics, like the synthetic corpus
 wave = sum((0.5 ** k) * np.sin(2 * np.pi * 160 * (k + 1) * t) for k in range(6))
@@ -37,13 +37,13 @@ windowed = frames * hamming_window(config.frame_len)
 power = fft_power_spectrum(windowed)
 print(f"power spectrum: {power.shape[1]} bins up to {rate // 2} Hz")
 
-fb = mel_filterbank(config)
-energies = log_mel_energies(power, fb, config.log_floor)
+fb = mel_filterbank(config.frame_len, config.n_mels)
+energies = log_mel_energies(power, fb)
 print(f"mel energies: {energies.shape[1]} filters; "
       f"strongest filter per frame: {np.argmax(energies, axis=1)[:8]} ...")
 
 cepstra = energies @ dct_matrix(config.n_mels)[:13].T
-base = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
+base = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames)])
 manual = normalize_centered(base)
 
 fm = extract_features(buffer, config)

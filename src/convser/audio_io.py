@@ -1,7 +1,8 @@
 """WAV reading/writing, linear resampling, and dataset manifest handling.
 
-The canonical pipeline rate is 44100 Hz; recordings at other rates are
-resampled on ingest. Canonical output format is mono PCM-16 little-endian.
+The pipeline runs at one rate, CANONICAL_RATE (44.1 kHz): synthesis writes
+at it, and feature extraction resamples recordings at other rates to it.
+Canonical output format is mono PCM-16 little-endian.
 """
 
 from __future__ import annotations
@@ -246,6 +247,9 @@ def load_manifest(path) -> DatasetManifest:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             violations.append(f"line {line_no}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(obj, dict):
+            violations.append(f"line {line_no}: not a JSON object")
             continue
         missing = [f for f in MANIFEST_FIELDS if f not in obj]
         if missing:

@@ -43,6 +43,13 @@ class AugmentationPlan:
     combined_snr_db: float = 15.0
     rng_seed: int = 0
 
+    def __post_init__(self):
+        tags = set()
+        for tag, _, _ in self.variants():
+            if tag in tags:  # each tag names one output file per original
+                raise ParameterError(f"two variants of the plan share the tag {tag!r}")
+            tags.add(tag)
+
     def variants(self):
         """(tag, augmentation kind, parameter) for every planned variant."""
         out = []
@@ -156,23 +163,24 @@ def _apply_variant(buffer: AudioBuffer, kind: str, param, seed: int) -> AudioBuf
 
 
 def _planned_paths(src, rec_id, plan, out_dir):
-    """The files one record writes into out_dir: its copy (none when the
-    original is its own source) and one WAV per variant."""
+    """(copies, variant paths): the files one record writes into out_dir. The
+    copy of the original is <id>.wav, none when the original is its own
+    source; each variant is <id>__<tag>.wav, in plan order."""
     dst = out_dir / f"{rec_id}.wav"
-    copy = [] if src.resolve() == dst.resolve() else [dst]
-    return copy + [out_dir / f"{rec_id}__{tag}.wav" for tag, _, _ in plan.variants()]
+    copies = [] if src.resolve() == dst.resolve() else [dst]
+    return copies, [out_dir / f"{rec_id}__{tag}.wav" for tag, _, _ in plan.variants()]
 
 
 def _augment_record(task):
     """Copy one original into out_dir and write its variants."""
     src, rec_id, plan, out_dir = task
-    dst = out_dir / f"{rec_id}.wav"
-    if src.resolve() != dst.resolve():
+    copies, variant_paths = _planned_paths(*task)
+    for dst in copies:
         shutil.copyfile(src, dst)
     buffer = load_wav(src)
-    for tag, kind, param in plan.variants():
-        variant = _apply_variant(buffer, kind, param, derive_seed(plan.rng_seed, rec_id, tag))
-        write_wav(variant, out_dir / f"{rec_id}__{tag}.wav")
+    for path, (tag, kind, param) in zip(variant_paths, plan.variants()):
+        write_wav(_apply_variant(buffer, kind, param, derive_seed(plan.rng_seed, rec_id, tag)),
+                  path)
 
 
 def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
@@ -195,13 +203,14 @@ def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
         map_tasks(_augment_record, tasks, jobs)
     except Exception:
         for task in tasks:
-            for path in _planned_paths(*task):
+            copies, variant_paths = _planned_paths(*task)
+            for path in copies + variant_paths:
                 path.unlink(missing_ok=True)
         raise
     records = []
-    for rec in manifest.records:
+    for rec, task in zip(manifest.records, tasks):
+        _, variant_paths = _planned_paths(*task)
         records.append(replace(rec, path=f"{rec.id}.wav"))
-        records.extend(replace(rec, id=f"{rec.id}__{tag}", path=f"{rec.id}__{tag}.wav",
-                               augmentation=kind)
-                       for tag, kind, _ in plan.variants())
+        records.extend(replace(rec, id=path.stem, path=path.name, augmentation=kind)
+                       for path, (_, kind, _) in zip(variant_paths, plan.variants()))
     return DatasetManifest(records=records, root=out_dir)

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: synth, augment, extract, train, grid, evaluate, predict, report.
-All randomness flows from --seed; artifacts record the config hash that
-produced them, so re-runs are cheap no-ops and full runs are reproducible
-bit for bit. Log verbosity comes from CONVSER_LOG (error|info|debug).
+All randomness flows from --seed, and full runs are reproducible bit for
+bit. Feature stores, model files and run reports record the feature config
+that produced them; a re-run of extract reuses the stored rows of every
+record whose audio and feature config are unchanged. Log verbosity comes
+from CONVSER_LOG (error|info|debug).
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ CONFIG_VALUE_RULES = (
     (float, _is_number, "a number"),
     (str, lambda v: isinstance(v, str), "a string"),
     (tuple, lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-    (type(None), lambda v: v is None or _is_number(v), "null or a number"),
 )
 
 
@@ -254,14 +255,13 @@ def cmd_train(args) -> int:
 
 def _save_run(result, out_dir, feature_config) -> None:
     """Persist per-fold models plus the run report JSON."""
-    feature_doc = {"feature_config": asdict(feature_config),
-                   "config_hash": dsp_features.config_hash(feature_config)}
+    feature_doc = {"feature_config": asdict(feature_config)}
     run_doc = result.to_dict() | feature_doc
     (out_dir / f"{result.model_id}_run.json").write_text(
         json.dumps(run_doc, sort_keys=True) + "\n"
     )
-    for k, (fold_seed, fold) in enumerate(zip(result.fold_seeds, result.folds)):
-        extra = {"fold_seed": fold_seed, "model_id": result.model_id} | feature_doc
+    for k, fold in enumerate(result.folds):
+        extra = {"fold_seed": fold.seed, "model_id": result.model_id} | feature_doc
         save_model(fold.params, out_dir / f"{result.model_id}_fold{k}.model.json", extra=extra)
 
 
@@ -293,9 +293,7 @@ def cmd_grid(args) -> int:
         "train_config": asdict(train_config),
         "wall_time_s": time.perf_counter() - started,
         "cells": cells,
-        "feature_config_hashes": {
-            str(width): dsp_features.config_hash(config) for width, config in configs.items()
-        },
+        "feature_configs": {str(width): asdict(config) for width, config in configs.items()},
     }
     (out_dir / "run_manifest.json").write_text(json.dumps(run_manifest, indent=2) + "\n")
 

@@ -15,7 +15,6 @@ frames so every utterance presents the same shape to the classifier.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import zipfile
@@ -24,25 +23,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, resample_linear
+from .audio_io import CANONICAL_RATE, AudioBuffer, resample_linear
 from .exceptions import FormatError, ParameterError
+
+# added inside every logarithm, so silence gives a finite ln(LOG_FLOOR)
+LOG_FLOOR = 1e-10
 
 
 @dataclass
 class FeatureConfig:
-    sample_rate: int = 44100
+    """Framing and width of the features, extracted at CANONICAL_RATE over
+    the full Mel band, 0 Hz to half that rate."""
+
     frame_len: int = 8192
     hop: int = 8192
     n_mels: int = 64
     n_mfcc: int = 40
-    fmin: float = 0.0
-    fmax: float | None = None
-    log_floor: float = 1e-10
     max_frames: int = 775
 
     def __post_init__(self):
-        if self.fmax is None:
-            self.fmax = self.sample_rate / 2
         if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
             raise ParameterError(f"frame_len must be a power of two, got {self.frame_len}")
         if self.hop < 1:
@@ -51,12 +50,6 @@ class FeatureConfig:
             raise ParameterError(f"n_mfcc must be 13 or 40, got {self.n_mfcc}")
         if self.n_mels < self.n_mfcc:
             raise ParameterError(f"n_mels = {self.n_mels} too small for n_mfcc = {self.n_mfcc}")
-        if not 0 <= self.fmin < self.fmax <= self.sample_rate / 2:
-            raise ParameterError(
-                f"need 0 <= fmin < fmax <= sample_rate/2, got fmin={self.fmin} fmax={self.fmax}"
-            )
-        if self.log_floor <= 0:
-            raise ParameterError("log_floor must be positive")
         if self.max_frames < 1:
             raise ParameterError("max_frames must be >= 1")
 
@@ -67,12 +60,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     n_valid_frames: int
-
-
-def config_hash(config) -> str:
-    """Stable hex digest of a config dataclass (sorted-key JSON over fields)."""
-    payload = json.dumps(asdict(config), sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def frame_signal(buffer: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
@@ -117,24 +104,19 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(config: FeatureConfig) -> np.ndarray:
+def mel_filterbank(frame_len: int, n_mels: int) -> np.ndarray:
     """Triangular filters, n_mels x (frame_len/2 + 1), peak weight 1.0 at each
     filter's center bin.
 
-    Centers are equally spaced on the Mel scale between fmin and fmax. Each
-    filter rises linearly from the previous center bin to its own and falls
-    to the next, so every FFT bin between the first and last center gets
+    Centers are equally spaced on the Mel scale from 0 Hz to CANONICAL_RATE/2.
+    Each filter rises linearly from the previous center bin to its own and
+    falls to the next, so every FFT bin between the first and last center gets
     nonzero weight from at least one filter.
     """
-    return _mel_filterbank(config.sample_rate, config.frame_len, config.n_mels,
-                           config.fmin, config.fmax)
-
-
-def _mel_filterbank(sample_rate, frame_len, n_mels, fmin, fmax) -> np.ndarray:
     n_bins = frame_len // 2 + 1
-    mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(CANONICAL_RATE / 2), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.round(hz_points * frame_len / sample_rate).astype(int)
+    bins = np.round(hz_points * frame_len / CANONICAL_RATE).astype(int)
     bins = np.minimum(bins, n_bins - 1)
     if np.any(np.diff(bins) < 1):
         raise ParameterError(
@@ -153,14 +135,14 @@ def _mel_filterbank(sample_rate, frame_len, n_mels, fmin, fmax) -> np.ndarray:
     return fb
 
 
-def log_mel_energies(power: np.ndarray, filterbank: np.ndarray, log_floor: float = 1e-10) -> np.ndarray:
-    """ln(filterbank . power + log_floor); accepts one spectrum or a stack."""
+def log_mel_energies(power: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
+    """ln(filterbank . power + LOG_FLOOR); accepts one spectrum or a stack."""
     power = np.asarray(power, dtype=np.float64)
     if power.shape[-1] != filterbank.shape[1]:
         raise ParameterError(
             f"power spectrum has {power.shape[-1]} bins, filterbank expects {filterbank.shape[1]}"
         )
-    return np.log(power @ filterbank.T + log_floor)
+    return np.log(power @ filterbank.T + LOG_FLOOR)
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -173,12 +155,12 @@ def dct_matrix(n: int) -> np.ndarray:
     return d
 
 
-def frame_log_energy(frame: np.ndarray, log_floor: float = 1e-10) -> np.ndarray:
-    """ln(sum of squared samples + log_floor), computed on the raw frame."""
+def frame_log_energy(frame: np.ndarray) -> np.ndarray:
+    """ln(sum of squared samples + LOG_FLOOR), computed on the raw frame."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] == 0:
         raise ParameterError("empty frame")
-    return np.log(np.sum(frame * frame, axis=-1) + log_floor)
+    return np.log(np.sum(frame * frame, axis=-1) + LOG_FLOOR)
 
 
 def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.ndarray:
@@ -205,11 +187,10 @@ def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.nda
 
 
 @functools.lru_cache(maxsize=8)
-def _dsp_constants(sample_rate, frame_len, n_mels, fmin, fmax):
+def _dsp_constants(frame_len, n_mels):
     """The Hamming window, Mel filterbank and n_mels x n_mels DCT-II basis of
-    one framing and filterbank setup, built once and shared read-only."""
-    constants = (hamming_window(frame_len),
-                 _mel_filterbank(sample_rate, frame_len, n_mels, fmin, fmax),
+    one frame length and filter count, built once and shared read-only."""
+    constants = (hamming_window(frame_len), mel_filterbank(frame_len, n_mels),
                  dct_matrix(n_mels))
     for array in constants:
         array.flags.writeable = False
@@ -220,7 +201,7 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     """Run the full per-utterance feature pipeline.
 
     A buffer at another rate is first resampled linearly to
-    config.sample_rate. Output is a max_frames x n_mfcc matrix normalized into
+    CANONICAL_RATE. Output is a max_frames x n_mfcc matrix normalized into
     [-1, 1]; rows past the valid frame count are zero.
     """
     return extract_widths(buffer, [config])[0]
@@ -234,15 +215,14 @@ def extract_widths(buffer: AudioBuffer, configs) -> list:
     config = configs[0]
     if any(replace(c, n_mfcc=config.n_mfcc) != config for c in configs):
         raise ParameterError("configs extracted together may differ in n_mfcc only")
-    if buffer.sample_rate != config.sample_rate:
-        buffer = resample_linear(buffer, config.sample_rate)
+    if buffer.sample_rate != CANONICAL_RATE:
+        buffer = resample_linear(buffer, CANONICAL_RATE)
     if not np.isfinite(buffer.samples).all():
         raise ParameterError("buffer holds non-finite (NaN or infinite) samples")
     frames = frame_signal(buffer, config.frame_len, config.hop)
-    window, fb, dct = _dsp_constants(config.sample_rate, config.frame_len, config.n_mels,
-                                     config.fmin, config.fmax)
+    window, fb, dct = _dsp_constants(config.frame_len, config.n_mels)
     power = fft_power_spectrum(frames * window)
-    log_e = log_mel_energies(power, fb, config.log_floor)
+    log_e = log_mel_energies(power, fb)
 
     n_valid = min(len(frames), config.max_frames)
     out = []
@@ -251,7 +231,7 @@ def extract_widths(buffer: AudioBuffer, configs) -> list:
             raw = log_e @ dct[:40].T
         else:
             cepstra = log_e @ dct[:13].T
-            raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
+            raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames)])
         values = np.zeros((config.max_frames, width))
         values[:n_valid] = normalize_centered(raw[:n_valid])
         out.append(FeatureMatrix(values=values, n_valid_frames=n_valid))
@@ -339,6 +319,6 @@ def cached_features_fresh(root, config: FeatureConfig, content_hashes: dict):
     in content_hashes whose stored rows came from the same content."""
     path = store_path(root, config.n_mfcc)
     store = load_features(root, config.n_mfcc) if path.is_file() else None
-    if store is None or config_hash(store.config) != config_hash(config):
+    if store is None or store.config != config:
         return FeatureStore(config), set()
     return store, {i for i, h in content_hashes.items() if store.hashes.get(i) == h}

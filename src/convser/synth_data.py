@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import (
+    CANONICAL_RATE,
     AudioBuffer,
     DatasetManifest,
     SampleRecord,
@@ -59,7 +60,6 @@ class Jitter:
 class SynthSpec:
     n_originals: int = 38
     duration_s: float = 10.0
-    sample_rate: int = 44100
     class0_signature: ClassSignature = field(default_factory=ClassSignature)
     class1_signature: ClassSignature = field(
         default_factory=lambda: ClassSignature(am_rate_hz=8.0, tilt_db_per_octave=-3.0)
@@ -68,13 +68,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sample_rate < 1:
-            raise ParameterError(f"sample_rate must be >= 1, got {self.sample_rate}")
         if not 0 < self.duration_s < math.inf:
             raise ParameterError(f"duration_s must be a finite number > 0, got {self.duration_s}")
-        if round(self.duration_s * self.sample_rate) < 1:
+        if round(self.duration_s * CANONICAL_RATE) < 1:
             raise ParameterError(f"duration_s {self.duration_s} holds no sample at "
-                                 f"sample_rate {self.sample_rate}")
+                                 f"{CANONICAL_RATE} Hz")
 
     @classmethod
     def null(cls, **overrides) -> "SynthSpec":
@@ -87,15 +85,15 @@ class SynthSpec:
 
 
 def _synthesize(signature: ClassSignature, jitter: Jitter, duration_s: float,
-                sample_rate: int, rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     deterministic = jitter.is_zero
     f0 = signature.fundamental_hz * (1.0 + rng.uniform(-1, 1) * jitter.fundamental_pct)
     am_rate = signature.am_rate_hz * (1.0 + rng.uniform(-1, 1) * jitter.am_rate_pct)
     tilt = signature.tilt_db_per_octave + rng.uniform(-1, 1) * jitter.tilt_db
 
-    n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
-    n_harmonics = min(20, int(0.45 * sample_rate / f0))
+    n = int(round(duration_s * CANONICAL_RATE))
+    t = np.arange(n) / CANONICAL_RATE
+    n_harmonics = min(20, int(0.45 * CANONICAL_RATE / f0))
     x = np.zeros(n)
     for k in range(1, n_harmonics + 1):
         amp = 10.0 ** (tilt * np.log2(k) / 20.0)
@@ -113,9 +111,8 @@ def _write_original(task):
     """Synthesise and write one original's WAV."""
     spec, rec, out_dir = task
     signature = spec.class1_signature if rec.label == 1 else spec.class0_signature
-    samples = _synthesize(signature, spec.jitter, spec.duration_s, spec.sample_rate,
-                          rng_for(spec.seed, rec.id))
-    write_wav(AudioBuffer(samples, spec.sample_rate), out_dir / rec.path)
+    samples = _synthesize(signature, spec.jitter, spec.duration_s, rng_for(spec.seed, rec.id))
+    write_wav(AudioBuffer(samples, CANONICAL_RATE), out_dir / rec.path)
 
 
 def generate_corpus(spec: SynthSpec, out_dir, jobs: int = 1) -> DatasetManifest:

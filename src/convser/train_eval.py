@@ -289,14 +289,26 @@ class RunReport:
     model_id: str
     model_config: ModelConfig
     train_config: TrainConfig
-    fold_seeds: list
-    fold_metrics: list
-    fold_counts: list
+    folds: list = field(repr=False)  # one TrainResult per shuffle
     averaged: MetricsReport
     excluded: dict
-    histories: list
     wall_time_s: float
-    folds: list = field(default=None, repr=False)  # TrainResults; not serialized
+
+    @property
+    def fold_seeds(self) -> list:
+        return [f.seed for f in self.folds]
+
+    @property
+    def fold_metrics(self) -> list:
+        return [f.metrics for f in self.folds]
+
+    @property
+    def fold_counts(self) -> list:
+        return [f.counts for f in self.folds]
+
+    @property
+    def histories(self) -> list:
+        return [f.history for f in self.folds]
 
     def to_dict(self) -> dict:
         return {
@@ -465,14 +477,10 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
         model_id=grid_model_id(model_config),
         model_config=model_config,
         train_config=train_config,
-        fold_seeds=fold_seeds,
-        fold_metrics=[f.metrics for f in folds],
-        fold_counts=[f.counts for f in folds],
+        folds=folds,
         averaged=averaged,
         excluded=excluded,
-        histories=[f.history for f in folds],
         wall_time_s=time.perf_counter() - start_time,
-        folds=folds,
     )
 
 

@@ -257,6 +257,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match=f"line 2: {field} {value!r} is not"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("line", ["5", "null", '"rec001"', "[1, 2]"])
+    def test_line_that_is_not_an_object(self, tmp_path, line):
+        lines = [record_line(0, 1), line, record_line(1, 5)]
+        path = self.write_corpus(tmp_path, lines, 2)
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert err.value.violations == ["line 2: not a JSON object",
+                                         "line 3: label 5 is not the integer 0 or 1"]
+
     def test_missing_file(self, tmp_path):
         lines = [record_line(0, 1), record_line(1, 0, path="nope.wav")]
         path = self.write_corpus(tmp_path, lines, 2)

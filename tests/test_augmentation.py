@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestAddNoise:
 class TestAugmentDataset:
     def test_default_plan_is_eight_per_original(self):
         assert AugmentationPlan().size == 8
+
+    @pytest.mark.parametrize("overrides, tag", [
+        ({"time_stretch_rates": (0.9, 0.9000001)}, "stretch_0.9"),
+        ({"pitch_shift_semitones": (2, 2.0)}, "pitch_+2"),
+        ({"noise_snrs_db": (20.0, 10.0, 20.0)}, "noise_20db"),
+    ])
+    def test_colliding_variant_tags_rejected(self, overrides, tag):
+        with pytest.raises(ParameterError, match=re.escape(f"share the tag '{tag}'")):
+            AugmentationPlan(**overrides)
 
     def test_one_original_becomes_eight(self, tmp_path):
         manifest = generate_corpus(SynthSpec(n_originals=1, duration_s=1.0, seed=3),

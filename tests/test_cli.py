@@ -60,8 +60,7 @@ class TestSynth:
         assert "error: duration_s" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    @pytest.mark.parametrize("key, value", [("duration_s", 0), ("duration_s", float("nan")),
-                                            ("sample_rate", 0), ("sample_rate", -8000)])
+    @pytest.mark.parametrize("key, value", [("duration_s", 0), ("duration_s", float("nan"))])
     def test_bad_duration_or_rate_in_config_rejected(self, tmp_path, capsys, key, value):
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"synth": {key: value}}))
@@ -167,7 +166,7 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"synth": {"n_originals": 2, "duration_s": 0.4},
                                     "train": {"epochs": 1, "learning_rate": 1},
-                                    "feature": {"hop": 8192, "fmax": None},
+                                    "feature": {"hop": 8192},
                                     "plan": {"time_stretch_rates": [0.9, 1], "combined": False}}))
         assert run("synth", "--config", path, "--out", tmp_path / "c") == 0
         assert "wrote 2 files" in capsys.readouterr().out
@@ -195,7 +194,6 @@ class TestConfigFile:
         ('{"plan": {"combined": 1}}', "section 'plan' key 'combined' must be a boolean"),
         ('{"plan": {"noise_snrs_db": [20, "10"]}}',
          "section 'plan' key 'noise_snrs_db' must be a list of numbers"),
-        ('{"feature": {"fmax": "8000"}}', "section 'feature' key 'fmax' must be null or a number"),
         ('{"feature": {"n_mfcc": 13}}',
          "section 'feature' key 'n_mfcc' is set by --mfcc, not by --config"),
         ('{"model": {"n_mfcc": 40}}',
@@ -205,6 +203,12 @@ class TestConfigFile:
         ('{"feature": {"feature_mode": "static40"}}',
          "section 'feature' has unknown key 'feature_mode'"),
         ('{"feature": {"n_fft": 8192}}', "section 'feature' has unknown key 'n_fft'"),
+        # settings that are now the constants CANONICAL_RATE and LOG_FLOOR
+        ('{"feature": {"fmax": null}}', "section 'feature' has unknown key 'fmax'"),
+        ('{"feature": {"fmin": 0.0}}', "section 'feature' has unknown key 'fmin'"),
+        ('{"feature": {"log_floor": 1e-10}}', "section 'feature' has unknown key 'log_floor'"),
+        ('{"feature": {"sample_rate": 44100}}', "section 'feature' has unknown key 'sample_rate'"),
+        ('{"synth": {"sample_rate": 44100}}', "section 'synth' has unknown key 'sample_rate'"),
     ])
     def test_bad_file_exits_1(self, tmp_path, capsys, text, message):
         path = tmp_path / "config.json"
@@ -291,6 +295,20 @@ class TestAugment:
         assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
                    "--variants", -1, "--out", tmp_path / "out") == 1
         assert "error: --variants must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_colliding_variant_tags_rejected(self, pipeline, tmp_path, capsys):
+        """0.9 and 0.9000001 both print as stretch_0.9, which would name one
+        file for two variants."""
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"plan": {
+            "time_stretch_rates": [0.9, 0.9000001], "pitch_shift_semitones": [],
+            "noise_snrs_db": [], "combined": False}}))
+        capsys.readouterr()
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--config", config, "--out", tmp_path / "out") == 1
+        assert "error: two variants of the plan share the tag 'stretch_0.9'" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_paper_scale_counts(self, tmp_path, capsys):
@@ -416,18 +434,25 @@ class TestExtract:
         assert "synth001" in err and "non-finite" in err and "synth000" not in err
 
 
+# config keys that older convser versions wrote into a feature store
+OLDER_STORE_KEYS = {
+    "old_version": {"feature_mode": "classic13", "n_fft": 8192},
+    "before_constants": {"sample_rate": 44100, "fmin": 0.0, "fmax": 22050.0, "log_floor": 1e-10},
+}
+
+
 def damage_store(pipeline, tmp_path, damage):
     """A copy of the pipeline's feature store whose mfcc13.npz is junk, cut,
-    or has the config of an older convser (with feature_mode and n_fft)."""
+    or has the config of an older convser (OLDER_STORE_KEYS)."""
     features = tmp_path / "features"
     features.mkdir()
     for store in pipeline["features"].iterdir():
         (features / store.name).write_bytes(store.read_bytes())
     path = features / "mfcc13.npz"
-    if damage == "old_version":
+    if damage in OLDER_STORE_KEYS:
         with np.load(path) as npz:
             members = dict(npz)
-        config = json.loads(str(members["config"])) | {"feature_mode": "classic13", "n_fft": 8192}
+        config = json.loads(str(members["config"])) | OLDER_STORE_KEYS[damage]
         members["config"] = np.array(json.dumps(config, sort_keys=True))
         with open(path, "wb") as handle:
             np.savez(handle, **members)
@@ -437,7 +462,7 @@ def damage_store(pipeline, tmp_path, damage):
     return features
 
 
-@pytest.mark.parametrize("damage", ["junk", "truncated", "old_version"])
+@pytest.mark.parametrize("damage", ["junk", "truncated", "old_version", "before_constants"])
 class TestCorruptStore:
     """A damaged or older-version store exits 1 with an error that names the
     file and the fix."""
@@ -485,7 +510,7 @@ def grid_dir(pipeline, tmp_path_factory):
 
 
 class TestTrainPredictEvaluate:
-    def test_run_artifacts(self, run_dir):
+    def test_run_artifacts(self, pipeline, run_dir):
         run_doc = json.loads((run_dir / "M1-13_run.json").read_text())
         assert run_doc["model_id"] == "M1-13"
         assert len(run_doc["fold_seeds"]) == 3
@@ -493,8 +518,7 @@ class TestTrainPredictEvaluate:
         assert len(models) == 3
         doc = json.loads(models[0].read_text())
         assert doc["format_version"] == 2
-        assert doc["feature_config"]["n_mfcc"] == 13
-        assert doc["config_hash"]
+        assert doc["feature_config"] == asdict(load_features(pipeline["features"], 13).config)
 
     def test_predict_prints_probability(self, pipeline, run_dir, capsys):
         capsys.readouterr()
@@ -614,6 +638,9 @@ class TestTrainPredictEvaluate:
         {"sample_rate": 44100, "frame_len": 8192, "hop": 8192, "n_fft": 8192, "n_mels": 64,
          "n_mfcc": 13, "feature_mode": "classic13", "fmin": 0.0, "fmax": 22050.0,
          "log_floor": 1e-10, "max_frames": 6},
+        # one written before the audio rate, Mel band and log floor became constants
+        {"sample_rate": 44100, "frame_len": 8192, "hop": 8192, "n_mels": 64, "n_mfcc": 13,
+         "fmin": 0.0, "fmax": 22050.0, "log_floor": 1e-10, "max_frames": 6},
     ])
     def test_predict_needs_a_usable_feature_config(self, pipeline, run_dir, tmp_path, capsys,
                                                    feature_config):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from convser import dsp_features
-from convser.audio_io import AudioBuffer, resample_linear
+from convser.audio_io import CANONICAL_RATE, AudioBuffer, resample_linear
 from convser.dsp_features import (
+    LOG_FLOOR,
     FeatureConfig,
     FeatureStore,
     cached_features_fresh,
-    config_hash,
     dct_matrix,
     extract_features,
     extract_widths,
@@ -111,47 +111,45 @@ class TestMelFilterbank:
         assert hz_to_mel(700.0) == pytest.approx(2595 * np.log10(2), abs=1e-9)
 
     def test_weights_in_unit_interval(self):
-        fb = mel_filterbank(FeatureConfig())
+        fb = mel_filterbank(8192, 64)
         assert fb.shape == (64, 8192 // 2 + 1)
         assert fb.min() >= 0.0 and fb.max() == 1.0
         assert np.all(fb.max(axis=1) == 1.0)  # every filter peaks at 1
 
     def test_tone_at_center_maximizes_its_filter(self):
         config = FeatureConfig()
-        fb = mel_filterbank(config)
+        fb = mel_filterbank(config.frame_len, config.n_mels)
         for m in (5, 20, 50):
             center_bin = int(np.argmax(fb[m]))
-            freq = center_bin * config.sample_rate / config.frame_len
-            t = np.arange(config.frame_len) / config.sample_rate
+            freq = center_bin * CANONICAL_RATE / config.frame_len
+            t = np.arange(config.frame_len) / CANONICAL_RATE
             power = fft_power_spectrum(np.sin(2 * np.pi * freq * t))
             assert int(np.argmax(fb @ power)) == m
 
     def test_interior_bins_covered(self):
-        fb = mel_filterbank(FeatureConfig())
+        fb = mel_filterbank(8192, 64)
         centers = np.argmax(fb, axis=1)
         interior = np.arange(centers[0], centers[-1] + 1)
         assert np.all(fb[:, interior].max(axis=0) > 0.0)
 
     def test_resolution_error(self):
-        config = FeatureConfig(frame_len=512, hop=512)
         with pytest.raises(ParameterError, match="collapse"):
-            mel_filterbank(config)
+            mel_filterbank(512, 64)
 
 
 class TestLogMelEnergies:
     def setup_method(self):
-        self.config = FeatureConfig()
-        self.fb = mel_filterbank(self.config)
+        self.fb = mel_filterbank(8192, 64)
 
     def test_zero_power_hits_floor(self):
-        energies = log_mel_energies(np.zeros(self.fb.shape[1]), self.fb, 1e-10)
-        assert np.allclose(energies, np.log(1e-10))
+        energies = log_mel_energies(np.zeros(self.fb.shape[1]), self.fb)
+        assert np.allclose(energies, np.log(LOG_FLOOR))
 
     def test_power_scaling_shifts_by_log(self):
         rng = np.random.default_rng(5)
         power = rng.uniform(0.1, 1.0, self.fb.shape[1])
-        base = log_mel_energies(power, self.fb, 1e-30)
-        scaled = log_mel_energies(7.5 * power, self.fb, 1e-30)
+        base = log_mel_energies(power, self.fb)
+        scaled = log_mel_energies(7.5 * power, self.fb)
         assert np.allclose(scaled - base, np.log(7.5), atol=1e-9)
 
     def test_monotone_in_power(self):
@@ -190,18 +188,18 @@ class TestDct:
 
 class TestFrameLogEnergy:
     def test_zero_frame(self):
-        assert frame_log_energy(np.zeros(16), 1e-10) == pytest.approx(np.log(1e-10))
+        assert frame_log_energy(np.zeros(16)) == pytest.approx(np.log(LOG_FLOOR))
 
     def test_unit_impulse(self):
         frame = np.zeros(16)
         frame[3] = 1.0
-        assert frame_log_energy(frame, 1e-10) == pytest.approx(0.0, abs=1e-9)
+        assert frame_log_energy(frame) == pytest.approx(0.0, abs=1e-9)
 
     def test_doubling_adds_log4(self):
         rng = np.random.default_rng(9)
-        frame = rng.standard_normal(64)
-        low = frame_log_energy(frame, 1e-30)
-        high = frame_log_energy(2 * frame, 1e-30)
+        frame = 100.0 * rng.standard_normal(64)  # loud enough that LOG_FLOOR is lost
+        low = frame_log_energy(frame)
+        high = frame_log_energy(2 * frame)
         assert high - low == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_empty(self):
@@ -254,13 +252,13 @@ class TestExtractFeatures:
             config = FeatureConfig(n_mfcc=width, max_frames=4)
             frames = frame_signal(tone, config.frame_len, config.hop)
             power = fft_power_spectrum(frames * hamming_window(config.frame_len))
-            log_e = log_mel_energies(power, mel_filterbank(config), config.log_floor)
+            log_e = log_mel_energies(power, mel_filterbank(config.frame_len, config.n_mels))
             dct = dct_matrix(config.n_mels)
             if width == 13:
                 # c1..c12 sliced from c0..c12: the product with rows 1..12
                 # alone may round differently in the last bit
                 raw = np.column_stack([(log_e @ dct[:13].T)[:, 1:13],
-                                       frame_log_energy(frames, config.log_floor)])
+                                       frame_log_energy(frames)])
             else:
                 raw = log_e @ dct[:40].T
             assert len(raw) == 6
@@ -286,8 +284,8 @@ class TestExtractFeatures:
 
     def test_tone_lands_in_nearest_filter(self):
         config = FeatureConfig(n_mfcc=40, max_frames=10)
-        fb = mel_filterbank(config)
-        centers = np.argmax(fb, axis=1) * config.sample_rate / config.frame_len
+        fb = mel_filterbank(config.frame_len, config.n_mels)
+        centers = np.argmax(fb, axis=1) * CANONICAL_RATE / config.frame_len
         target = int(np.argmin(np.abs(centers - 1000.0)))
         tone = make_tone(centers[target], duration_s=1.2)
         frames = frame_signal(tone, config.frame_len, config.hop)
@@ -306,7 +304,7 @@ class TestExtractFeatures:
         tone = make_tone(100, 1.0, rate=16000)
         config = FeatureConfig()
         a = extract_features(tone, config)
-        b = extract_features(resample_linear(tone, config.sample_rate), config)
+        b = extract_features(resample_linear(tone, CANONICAL_RATE), config)
         assert a.n_valid_frames == b.n_valid_frames > 0
         assert np.array_equal(a.values, b.values)
 
@@ -319,7 +317,7 @@ class TestExtractFeatures:
 
     def test_cached_constants_are_read_only(self):
         config = FeatureConfig(n_mfcc=40)
-        key = (config.sample_rate, config.frame_len, config.n_mels, config.fmin, config.fmax)
+        key = (config.frame_len, config.n_mels)
         constants = dsp_features._dsp_constants(*key)
         assert dsp_features._dsp_constants(*key) is constants
         for array in constants:
@@ -335,12 +333,12 @@ class TestExtractFeatures:
         config = FeatureConfig(n_mfcc=width, max_frames=8)
         frames = frame_signal(tone, config.frame_len, config.hop)
         power = fft_power_spectrum(frames * hamming_window(config.frame_len))
-        log_e = log_mel_energies(power, mel_filterbank(config), config.log_floor)
+        log_e = log_mel_energies(power, mel_filterbank(config.frame_len, config.n_mels))
         if width == 40:
             raw = log_e @ dct_matrix(config.n_mels)[:40].T
         else:
             cepstra = log_e @ dct_matrix(config.n_mels)[:13].T
-            raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames, config.log_floor)])
+            raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames)])
         expected = np.zeros((8, width))
         expected[: len(raw)] = normalize_centered(raw)
         for _ in range(2):  # the first call may build the constants, the second reuses them
@@ -410,10 +408,3 @@ class TestFeatureStore:
         self.stored(tmp_path, FeatureConfig(n_mfcc=40, max_frames=6))
         with pytest.raises(ParameterError, match="'zz'.*convser extract --mfcc 40"):
             load_features(tmp_path, 40).stack(["a", "zz"])
-
-    def test_config_hash_stable_and_sensitive(self):
-        a = FeatureConfig(n_mfcc=13)
-        b = FeatureConfig(n_mfcc=13)
-        c = FeatureConfig(n_mfcc=13, max_frames=99)
-        assert config_hash(a) == config_hash(b)
-        assert config_hash(a) != config_hash(c)
