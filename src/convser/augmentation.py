@@ -162,13 +162,17 @@ def _apply_variant(buffer: AudioBuffer, kind: str, param, seed: int) -> AudioBuf
     raise ParameterError(f"unknown augmentation kind {kind!r}")
 
 
+def _merged_ids(rec_id, plan):
+    """The ids one record contributes to the merged manifest: its own, then
+    <id>__<tag> for each variant, in plan order."""
+    return [rec_id] + [f"{rec_id}__{tag}" for tag, _, _ in plan.variants()]
+
+
 def _planned_paths(src, rec_id, plan, out_dir):
-    """(copies, variant paths): the files one record writes into out_dir. The
-    copy of the original is <id>.wav, none when the original is its own
-    source; each variant is <id>__<tag>.wav, in plan order."""
-    dst = out_dir / f"{rec_id}.wav"
-    copies = [] if src.resolve() == dst.resolve() else [dst]
-    return copies, [out_dir / f"{rec_id}__{tag}.wav" for tag, _, _ in plan.variants()]
+    """(copies, variant paths): the files one record writes into out_dir, each
+    <merged id>.wav; no copy when the original is its own source."""
+    dst, *variant_paths = (out_dir / f"{name}.wav" for name in _merged_ids(rec_id, plan))
+    return [] if src.resolve() == dst.resolve() else [dst], variant_paths
 
 
 def _augment_record(task):
@@ -194,8 +198,18 @@ def augment_dataset(manifest: DatasetManifest, plan: AugmentationPlan,
     id and tag, so the files are the same bytes as with one. On any failure,
     a worker's death included, every file the plan names is removed so no
     half-built corpus is left behind, and the first record's failure (or the
-    worker's) is raised.
+    worker's) is raised. Before any of that, every merged id must be unique
+    and name a plain file in out_dir, or ParameterError names the first that
+    is not.
     """
+    merged = set()
+    for rec in manifest.records:
+        for name in _merged_ids(rec.id, plan):
+            if Path(f"{name}.wav").name != f"{name}.wav":
+                raise ParameterError(f"id {name!r} is not a plain file name")
+            if name in merged:
+                raise ParameterError(f"two records of the augmented corpus have the id {name!r}")
+            merged.add(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tasks = [(manifest.resolve(rec), rec.id, plan, out_dir) for rec in manifest.records]

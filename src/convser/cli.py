@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands: synth, augment, extract, train, grid, evaluate, predict, report.
-All randomness flows from --seed, and full runs are reproducible bit for
-bit. Feature stores, model files and run reports record the feature config
-that produced them; a re-run of extract reuses the stored rows of every
-record whose audio and feature config are unchanged. Log verbosity comes
-from CONVSER_LOG (error|info|debug).
+Each takes only the options it reads, and each setting has one route: a
+flag, or for the augmentation plan the JSON object `augment --plan` reads,
+which is the augmentation_plan.json augment writes. synth, augment, train
+and grid take --seed and --jobs; all randomness flows from --seed, and full
+runs are reproducible bit for bit. Feature stores, model files and run
+reports record the feature config that produced them; a re-run of extract
+reuses the stored rows of every record whose audio and feature config are
+unchanged. Log verbosity comes from CONVSER_LOG (error|info|debug).
 """
 
 from __future__ import annotations
@@ -41,70 +44,44 @@ def _setup_logging():
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
-# the config class each --config section builds; its keys must be fields of it
-CONFIG_SECTIONS = {"synth": synth_data.SynthSpec, "plan": augmentation.AugmentationPlan,
-                   "feature": dsp_features.FeatureConfig, "train": TrainConfig,
-                   "model": ModelConfig}
-
-# keys of those classes that --mfcc or the feature store always sets
-CLI_SET_KEYS = {("feature", "n_mfcc"): "--mfcc", ("model", "n_mfcc"): "--mfcc",
-                ("model", "max_frames"): "the feature store"}
-
-
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# (type of a field's default, test of a JSON value for that field, what it takes);
-# bool comes before int because a bool is an int
-CONFIG_VALUE_RULES = (
+# (type of a plan field's default, test of a JSON value for that field, what it
+# takes); bool comes before int because a bool is an int
+PLAN_VALUE_RULES = (
     (bool, lambda v: isinstance(v, bool), "a boolean"),
     (int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     (float, _is_number, "a number"),
-    (str, lambda v: isinstance(v, str), "a string"),
     (tuple, lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
 )
 
 
-def _config_value_error(f, value):
-    """Why a JSON value cannot set dataclass field f, or None when it can."""
-    for kind, accepts, expected in CONFIG_VALUE_RULES:
-        if isinstance(f.default, kind):
-            return None if accepts(value) else f"must be {expected}, got {value!r}"
-    # no plain default: a nested dataclass built by its default_factory
-    return "is a nested setting that --config cannot set"
-
-
-def _load_config_file(path):
-    if not path:
+def _load_plan_file(path) -> dict:
+    """The fields set by the JSON AugmentationPlan object at path, the format
+    augment writes as augmentation_plan.json; none without a path."""
+    if path is None:
         return {}
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
-        raise ParameterError(f"{path}: pipeline config must be a JSON object")
-    for section, body in doc.items():
-        if section not in CONFIG_SECTIONS:
-            raise ParameterError(f"{path}: unknown section {section!r}; "
-                                 f"expected one of {sorted(CONFIG_SECTIONS)}")
-        if not isinstance(body, dict):
-            raise ParameterError(f"{path}: section {section!r} must be a JSON object")
-        known = {f.name: f for f in fields(CONFIG_SECTIONS[section])}
-        unknown = set(body) - set(known)
-        if unknown:
-            raise ParameterError(f"{path}: section {section!r} has unknown key {min(unknown)!r}")
-        for key, value in body.items():
-            if (section, key) in CLI_SET_KEYS:
-                raise ParameterError(f"{path}: section {section!r} key {key!r} is set by "
-                                     f"{CLI_SET_KEYS[section, key]}, not by --config")
-            error = _config_value_error(known[key], value)
-            if error:
-                raise ParameterError(f"{path}: section {section!r} key {key!r} {error}")
+        raise ParameterError(f"{path}: augmentation plan must be a JSON object")
+    defaults = {f.name: f.default for f in fields(augmentation.AugmentationPlan)}
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ParameterError(f"{path}: unknown key {key!r}; expected one of "
+                                 f"{sorted(defaults)}")
+        _, accepts, expected = next(rule for rule in PLAN_VALUE_RULES
+                                    if isinstance(defaults[key], rule[0]))
+        if not accepts(value):
+            raise ParameterError(f"{path}: key {key!r} must be {expected}, got {value!r}")
     return doc
 
 
-# {argparse dest: field} of the flags that override each section's --config keys
+# {argparse dest: field} of the flags that set each config object
 SYNTH_FLAGS = {"n": "n_originals", "duration": "duration_s", "seed": "seed"}
 PLAN_FLAGS = {"seed": "rng_seed"}
 FEATURE_FLAGS = {name: name for name in ("frame_len", "hop", "max_frames", "n_mels")}
@@ -113,14 +90,12 @@ TRAIN_FLAGS = {name: name for name in ("epochs", "batch_size", "learning_rate", 
 MODEL_FLAGS = {"filters": "filters", "kernel": "kernel_size", "lstm": "lstm_units"}
 
 
-def _settings(cls, cfg, section, args, flags, **fixed):
-    """cls built from the --config section, each flag given on the command
-    line overriding the field flags maps it to, and the fixed fields."""
-    kwargs = dict(cfg.get(section, {}))
-    for dest, name in flags.items():
-        if getattr(args, dest) is not None:
-            kwargs[name] = getattr(args, dest)
-    return cls(**kwargs, **fixed)
+def _settings(cls, args, flags, **base):
+    """cls built from the base fields, each flag given on the command line
+    setting the field flags maps it to."""
+    given = {name: getattr(args, dest) for dest, name in flags.items()
+             if getattr(args, dest) is not None}
+    return cls(**(base | given))
 
 
 def _usable_cores() -> int:
@@ -151,9 +126,8 @@ def _model_feature_config(path, extra) -> dsp_features.FeatureConfig:
 
 
 def cmd_synth(args) -> int:
-    cfg = _load_config_file(args.config)
     spec_class = synth_data.SynthSpec.null if args.null else synth_data.SynthSpec
-    spec = _settings(spec_class, cfg, "synth", args, SYNTH_FLAGS)
+    spec = _settings(spec_class, args, SYNTH_FLAGS)
     manifest = synth_data.generate_corpus(spec, args.out, jobs=args.jobs or _usable_cores())
     counts = manifest.label_counts()
     print(f"wrote {len(manifest)} files to {args.out} "
@@ -162,8 +136,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    cfg = _load_config_file(args.config)
-    plan = _settings(augmentation.AugmentationPlan, cfg, "plan", args, PLAN_FLAGS)
+    plan = _settings(augmentation.AugmentationPlan, args, PLAN_FLAGS,
+                     **_load_plan_file(args.plan))
     if args.variants is not None:
         if args.variants < 0:
             raise ParameterError(f"--variants must be >= 0, got {args.variants}")
@@ -187,7 +161,6 @@ def cmd_augment(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cfg = _load_config_file(args.config)
     manifest = load_manifest(args.manifest)
     widths = GRID_WIDTHS if args.mfcc == "both" else (int(args.mfcc),)
     failures = []
@@ -201,8 +174,8 @@ def cmd_extract(args) -> int:
     for width in widths:
         # rows of another config are dropped; ids outside this manifest are kept
         stores[width], fresh[width] = dsp_features.cached_features_fresh(
-            args.out, _settings(dsp_features.FeatureConfig, cfg, "feature", args,
-                                FEATURE_FLAGS, n_mfcc=width), hashes)
+            args.out, _settings(dsp_features.FeatureConfig, args, FEATURE_FLAGS, n_mfcc=width),
+            hashes)
         stale[width] = set(hashes) - fresh[width]
     # each record is read and transformed once for all the widths it lacks
     extracted = dict.fromkeys(widths, 0)
@@ -234,12 +207,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    train_config = _settings(TrainConfig, cfg, "train", args, TRAIN_FLAGS)
+    train_config = _settings(TrainConfig, args, TRAIN_FLAGS)
     manifest = load_manifest(args.manifest)
     width = int(args.mfcc)
     feature_config, features = _load_feature_store(args.features, width, manifest)
-    model_config = _settings(ModelConfig, cfg, "model", args, MODEL_FLAGS, n_mfcc=width,
+    model_config = _settings(ModelConfig, args, MODEL_FLAGS, n_mfcc=width,
                              max_frames=feature_config.max_frames)
     if train_eval.grid_model_id(model_config).startswith("custom-"):
         log.info("model config %s is outside the standard 16-cell grid", model_config)
@@ -266,8 +238,7 @@ def _save_run(result, out_dir, feature_config) -> None:
 
 
 def cmd_grid(args) -> int:
-    cfg = _load_config_file(args.config)
-    train_config = _settings(TrainConfig, cfg, "train", args, TRAIN_FLAGS)
+    train_config = _settings(TrainConfig, args, TRAIN_FLAGS)
     manifest = load_manifest(args.manifest)
     configs, features = {}, {}
     for width in GRID_WIDTHS:
@@ -349,20 +320,18 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="pipeline config JSON", default=None)
-    common.add_argument("--seed", type=int, default=None, help="base random seed")
-    common.add_argument("--jobs", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="base random seed")
+    seeded.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: one per usable core for synth, "
                              "augment and grid; for train, the fewest workers, at least one "
                              "per usable core, that split the shuffles evenly, e.g. 3 for 3 "
-                             "shuffles on 2 cores); extract, evaluate, predict and report "
-                             "run in one process; every worker runs one BLAS thread")
+                             "shuffles on 2 cores); every worker runs one BLAS thread")
 
     parser = argparse.ArgumentParser(prog="convser", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic corpus")
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic corpus")
     p.add_argument("--n", type=int, default=None, help="number of original recordings")
     p.add_argument("--duration", type=float, default=None, help="clip length in seconds")
     p.add_argument("--null", action="store_true",
@@ -370,14 +339,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("augment", parents=[common], help="expand a corpus 8x")
+    p = sub.add_parser("augment", parents=[seeded], help="expand a corpus 8x")
     p.add_argument("--manifest", required=True)
+    p.add_argument("--plan", default=None,
+                   help="augmentation plan JSON object, as augment writes it to "
+                        "augmentation_plan.json (--seed overrides its rng_seed)")
     p.add_argument("--variants", type=int, default=None,
                    help="cap the number of variants per original (0 = originals only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("extract", parents=[common], help="extract MFCC features")
+    p = sub.add_parser("extract", help="extract MFCC features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--mfcc", choices=("13", "40", "both"), default="both",
                    help="feature width: 13 (c1..c12 + frame log energy), 40 (c0..c39) or both")
@@ -388,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="feature store root")
     p.set_defaults(func=cmd_extract)
 
-    train_common = argparse.ArgumentParser(add_help=False, parents=[common])
+    train_common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     train_common.add_argument("--epochs", type=int, default=None)
     train_common.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     train_common.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
@@ -415,19 +387,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="reports directory")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("evaluate", parents=[common], help="metrics of a saved model")
+    p = sub.add_parser("evaluate", help="metrics of a saved model")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", parents=[common],
-                       help="per-file probability and label at threshold 0.5")
+    p = sub.add_parser("predict", help="per-file probability and label at threshold 0.5")
     p.add_argument("--model", required=True)
     p.add_argument("wavs", nargs="+", metavar="WAV")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("report", parents=[common], help="render a results CSV")
+    p = sub.add_parser("report", help="render a results CSV")
     p.add_argument("--results", required=True)
     p.add_argument("--svg", default=None, help="write an accuracy bar chart")
     p.set_defaults(func=cmd_report)
@@ -439,13 +410,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs is not None and args.jobs < 1:
-            raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
+        jobs = getattr(args, "jobs", None)  # only the commands that run a pool take --jobs
+        if jobs is not None and jobs < 1:
+            raise ParameterError(f"--jobs must be >= 1, got {jobs}")
         return args.func(args)
-    except ConvserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConvserError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

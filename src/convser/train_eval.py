@@ -286,13 +286,22 @@ class TrainResult:
 
 @dataclass
 class RunReport:
-    model_id: str
     model_config: ModelConfig
     train_config: TrainConfig
     folds: list = field(repr=False)  # one TrainResult per shuffle
-    averaged: MetricsReport
-    excluded: dict
     wall_time_s: float
+
+    @property
+    def model_id(self) -> str:
+        return grid_model_id(self.model_config)
+
+    @property
+    def averaged(self) -> MetricsReport:
+        return average_metrics(self.fold_metrics)[0]
+
+    @property
+    def excluded(self) -> dict:
+        return average_metrics(self.fold_metrics)[1]
 
     @property
     def fold_seeds(self) -> list:
@@ -327,9 +336,12 @@ class RunReport:
 
 @dataclass
 class GridFailure:
-    model_id: str
     model_config: ModelConfig
     error: str
+
+    @property
+    def model_id(self) -> str:
+        return grid_model_id(self.model_config)
 
 
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int):
@@ -472,14 +484,10 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
     tasks = [(model_config, replace(train_config, seed=fold_seed), features, manifest)
              for fold_seed in fold_seeds]
     folds = map_tasks(_run_fold, tasks, jobs)
-    averaged, excluded = average_metrics([f.metrics for f in folds])
     return RunReport(
-        model_id=grid_model_id(model_config),
         model_config=model_config,
         train_config=train_config,
         folds=folds,
-        averaged=averaged,
-        excluded=excluded,
         wall_time_s=time.perf_counter() - start_time,
     )
 
@@ -594,11 +602,7 @@ def _run_cell(task):
     try:
         return cross_validate(model_config, train_config, features, manifest)
     except Exception as exc:  # a failed cell is recorded, not silently skipped
-        return GridFailure(
-            model_id=grid_model_id(model_config),
-            model_config=model_config,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return GridFailure(model_config=model_config, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_grid(train_config: TrainConfig, features: dict, manifest: DatasetManifest,

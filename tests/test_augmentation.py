@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,25 @@ class TestAugmentDataset:
             with pytest.raises(FormatError, match="RIFF"):
                 augment_dataset(manifest, AugmentationPlan(rng_seed=1), out, jobs=jobs)
             assert list(out.glob("*.wav")) == []
+
+    def test_original_id_equal_to_a_variant_id_rejected(self, tmp_path):
+        manifest = generate_corpus(SynthSpec(n_originals=2, duration_s=0.5, seed=8),
+                                   tmp_path / "src")
+        manifest.records[1] = replace(manifest.records[1], id="synth000__combined")
+        with pytest.raises(ParameterError, match=re.escape(
+                "two records of the augmented corpus have the id 'synth000__combined'")):
+            augment_dataset(manifest, AugmentationPlan(rng_seed=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_id_with_a_path_rejected(self, tmp_path):
+        manifest = generate_corpus(SynthSpec(n_originals=2, duration_s=0.5, seed=8),
+                                   tmp_path / "src")
+        manifest.records[1] = replace(manifest.records[1], id="../escaped")
+        out = tmp_path / "a" / "out"
+        with pytest.raises(ParameterError, match=re.escape(
+                "id '../escaped' is not a plain file name")):
+            augment_dataset(manifest, AugmentationPlan(rng_seed=1), out)
+        assert not (tmp_path / "a").exists()
 
     def test_snr_of_written_variants(self, tmp_path):
         manifest = generate_corpus(SynthSpec(n_originals=1, duration_s=1.0, seed=9),

@@ -60,13 +60,14 @@ class TestSynth:
         assert "error: duration_s" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    @pytest.mark.parametrize("key, value", [("duration_s", 0), ("duration_s", float("nan"))])
-    def test_bad_duration_or_rate_in_config_rejected(self, tmp_path, capsys, key, value):
-        config = tmp_path / "pipeline.json"
-        config.write_text(json.dumps({"synth": {key: value}}))
-        assert run("synth", "--n", 2, "--config", config, "--out", tmp_path / "c") == 1
-        assert f"error: {key}" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
+    def test_null_writes_equal_class_signatures(self, tmp_path):
+        specs = {}
+        for name, null in (("signal", ()), ("null", ("--null",))):
+            assert run("synth", "--n", 2, "--duration", 0.3, "--seed", 1, *null,
+                       "--out", tmp_path / name) == 0
+            specs[name] = json.loads((tmp_path / name / "synth_spec.json").read_text())
+        assert specs["null"]["class0_signature"] == specs["null"]["class1_signature"]
+        assert specs["signal"]["class0_signature"] != specs["signal"]["class1_signature"]
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -161,112 +162,126 @@ class TestJobs:
         assert list(out.iterdir()) == []
 
 
-class TestConfigFile:
-    def test_sections_build_their_dataclasses(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"synth": {"n_originals": 2, "duration_s": 0.4},
-                                    "train": {"epochs": 1, "learning_rate": 1},
-                                    "feature": {"hop": 8192},
-                                    "plan": {"time_stretch_rates": [0.9, 1], "combined": False}}))
-        assert run("synth", "--config", path, "--out", tmp_path / "c") == 0
-        assert "wrote 2 files" in capsys.readouterr().out
+# each subcommand's required arguments; none is read before the options are parsed
+REQUIRED = {
+    "synth": ("--out", "c"),
+    "augment": ("--manifest", "m.jsonl", "--out", "a"),
+    "extract": ("--manifest", "m.jsonl", "--out", "f"),
+    "train": ("--manifest", "m.jsonl", "--features", "f", "--mfcc", "13", "--out", "r"),
+    "grid": ("--manifest", "m.jsonl", "--features", "f", "--out", "r"),
+    "evaluate": ("--model", "m.json", "--manifest", "m.jsonl", "--features", "f"),
+    "predict": ("--model", "m.json", "x.wav"),
+    "report": ("--results", "r.csv"),
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    *[(command, option) for command in ("extract", "evaluate", "predict", "report")
+      for option in ("--seed", "--jobs", "--config")],
+    *[(command, "--config") for command in ("synth", "augment", "train", "grid")],
+])
+def test_options_a_command_does_not_read_are_usage_errors(command, option, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(command, *REQUIRED[command], option, 3)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, dest", [("--seed", "seed"), ("--jobs", "jobs")])
+@pytest.mark.parametrize("command", ["synth", "augment", "train", "grid"])
+def test_commands_that_read_seed_and_jobs_take_them(command, option, dest):
+    args = cli.build_parser().parse_args([command, *REQUIRED[command], option, "3"])
+    assert getattr(args, dest) == 3
+
+
+class TestPlanFile:
+    def test_keys_not_in_the_file_keep_their_defaults(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"time_stretch_rates": [0.9, 1], "combined": False}))
+        capsys.readouterr()
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--plan", path, "--out", tmp_path / "out") == 0
+        assert "6 -> 42 records" in capsys.readouterr().out
+        written = json.loads((tmp_path / "out" / "augmentation_plan.json").read_text())
+        assert written == {"time_stretch_rates": [0.9, 1], "pitch_shift_semitones": [-2.0, 2.0],
+                           "noise_snrs_db": [20.0, 10.0], "combined": False,
+                           "combined_stretch_rate": 1.05, "combined_snr_db": 15.0,
+                           "rng_seed": 0}
+
+    @pytest.mark.parametrize("variants", [(), ("--variants", 3)])
+    def test_a_written_plan_rebuilds_its_tree(self, pipeline, tmp_path, variants):
+        """The plan augment records, given back with --plan, writes the same
+        files: the seed and the --variants trim travel in the file."""
+        first = tmp_path / "first"
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--seed", 5, *variants, "--out", first) == 0
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--plan", first / "augmentation_plan.json", "--out", tmp_path / "again") == 0
+        assert tree_bytes(tmp_path / "again") == tree_bytes(first)
+
+    def test_seed_overrides_the_files_rng_seed(self, pipeline, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"rng_seed": 5, "time_stretch_rates": [],
+                                    "pitch_shift_semitones": [], "noise_snrs_db": [30],
+                                    "combined": False}))
+        out = tmp_path / "out"
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--plan", path, "--seed", 9, "--out", out) == 0
+        written = json.loads((out / "augmentation_plan.json").read_text())
+        assert (written["rng_seed"], written["noise_snrs_db"]) == (9, [30])
 
     @pytest.mark.parametrize("text, message", [
         ("{not json", "not valid JSON"),
-        ('["synth"]', "pipeline config must be a JSON object"),
-        ('{"synth": 3}', "section 'synth' must be a JSON object"),
-        ('{"synthesis": {}}', "unknown section 'synthesis'"),
-        ('{"synth": {"nn": 3}}', "section 'synth' has unknown key 'nn'"),
-        ('{"train": {"n_originals": 3}}', "section 'train' has unknown key 'n_originals'"),
-        ('{"train": {"model_selection": "best_val"}}',
-         "section 'train' has unknown key 'model_selection'"),
-        ('{"train": {"adam_beta1": 0.9}}', "section 'train' has unknown key 'adam_beta1'"),
-        ('{"train": {"epochs": "3"}}', "section 'train' key 'epochs' must be an integer"),
-        ('{"train": {"epochs": true}}', "section 'train' key 'epochs' must be an integer"),
-        ('{"train": {"learning_rate": "0.1"}}',
-         "section 'train' key 'learning_rate' must be a number"),
-        ('{"train": {"dtype": 32}}', "section 'train' key 'dtype' must be a string"),
-        ('{"synth": {"n_originals": "4"}}', "section 'synth' key 'n_originals' must be an integer"),
-        ('{"synth": {"class0_signature": {"am_rate_hz": 5.0}}}',
-         "section 'synth' key 'class0_signature' is a nested setting that --config cannot set"),
-        ('{"synth": {"jitter": null}}',
-         "section 'synth' key 'jitter' is a nested setting that --config cannot set"),
-        ('{"plan": {"combined": 1}}', "section 'plan' key 'combined' must be a boolean"),
-        ('{"plan": {"noise_snrs_db": [20, "10"]}}',
-         "section 'plan' key 'noise_snrs_db' must be a list of numbers"),
-        ('{"feature": {"n_mfcc": 13}}',
-         "section 'feature' key 'n_mfcc' is set by --mfcc, not by --config"),
-        ('{"model": {"n_mfcc": 40}}',
-         "section 'model' key 'n_mfcc' is set by --mfcc, not by --config"),
-        ('{"model": {"max_frames": 99}}',
-         "section 'model' key 'max_frames' is set by the feature store, not by --config"),
-        ('{"feature": {"feature_mode": "static40"}}',
-         "section 'feature' has unknown key 'feature_mode'"),
-        ('{"feature": {"n_fft": 8192}}', "section 'feature' has unknown key 'n_fft'"),
-        # settings that are now the constants CANONICAL_RATE and LOG_FLOOR
-        ('{"feature": {"fmax": null}}', "section 'feature' has unknown key 'fmax'"),
-        ('{"feature": {"fmin": 0.0}}', "section 'feature' has unknown key 'fmin'"),
-        ('{"feature": {"log_floor": 1e-10}}', "section 'feature' has unknown key 'log_floor'"),
-        ('{"feature": {"sample_rate": 44100}}', "section 'feature' has unknown key 'sample_rate'"),
-        ('{"synth": {"sample_rate": 44100}}', "section 'synth' has unknown key 'sample_rate'"),
+        ('["combined"]', "augmentation plan must be a JSON object"),
+        ('{"nn": 3}', "unknown key 'nn'"),
+        ('{"combined": 1}', "key 'combined' must be a boolean"),
+        ('{"noise_snrs_db": [20, "10"]}', "key 'noise_snrs_db' must be a list of numbers"),
+        ('{"combined": null}', "key 'combined' must be a boolean"),
+        ('{"rng_seed": "3"}', "key 'rng_seed' must be an integer"),
+        ('{"rng_seed": true}', "key 'rng_seed' must be an integer"),
+        ('{"combined_snr_db": "15"}', "key 'combined_snr_db' must be a number"),
+        ('{"combined_stretch_rate": true}', "key 'combined_stretch_rate' must be a number"),
+        ('{"time_stretch_rates": 0.9}', "key 'time_stretch_rates' must be a list of numbers"),
+        ('{"pitch_shift_semitones": [true]}',
+         "key 'pitch_shift_semitones' must be a list of numbers"),
+        # a pipeline file of the former five-section format is rejected, not half read
+        ('{"plan": {"combined": false}}', "unknown key 'plan'"),
     ])
-    def test_bad_file_exits_1(self, tmp_path, capsys, text, message):
-        path = tmp_path / "config.json"
+    def test_bad_file_exits_1(self, pipeline, tmp_path, capsys, text, message):
+        path = tmp_path / "plan.json"
         path.write_text(text)
-        assert run("synth", "--config", path, "--out", tmp_path / "c") == 1
+        capsys.readouterr()
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--plan", path, "--out", tmp_path / "out") == 1
         assert f"error: {path}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section", ["synth", "plan", "feature", "train", "model"])
-    def test_flags_override_config_keys(self, pipeline, tmp_path, section):
-        """A flag given on the command line beats its --config key; the
-        section's other keys still apply."""
-        out = tmp_path / "out"
-        corpus = pipeline["corpus"] / "manifest.jsonl"
-        train = ("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
-                 "--features", pipeline["features"], "--mfcc", "13", "--kernel", 5,
-                 "--shuffles", 1, "--filters", 16, "--epochs", 1)
+    def test_missing_file_exits_1(self, pipeline, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--plan", tmp_path / "absent.json", "--out", tmp_path / "out") == 1
+        assert "absent.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-        def run_doc(key):
-            return lambda: json.loads(next(out.glob("*_run.json")).read_text())[key]
-
-        keys, argv, written, expected = {
-            "synth": ({"n_originals": 2, "duration_s": 0.3}, ("synth", "--n", 3),
-                      lambda: json.loads((out / "synth_spec.json").read_text()),
-                      {"n_originals": 3, "duration_s": 0.3}),
-            "plan": ({"rng_seed": 5, "time_stretch_rates": [], "pitch_shift_semitones": [],
-                      "noise_snrs_db": [30], "combined": False},
-                     ("augment", "--manifest", corpus, "--seed", 9),
-                     lambda: json.loads((out / "augmentation_plan.json").read_text()),
-                     {"rng_seed": 9, "noise_snrs_db": [30]}),
-            "feature": ({"hop": 4096, "n_mels": 48},
-                        ("extract", "--manifest", corpus, "--mfcc", "13", "--hop", 2048),
-                        lambda: asdict(load_features(out, 13).config),
-                        {"hop": 2048, "n_mels": 48}),
-            "train": ({"epochs": 2, "seed": 5, "batch_size": 4},
-                      train + ("--lstm", 20, "--seed", 8),
-                      run_doc("train_config"), {"epochs": 1, "seed": 8, "batch_size": 4}),
-            "model": ({"filters": 32, "lstm_units": 40}, train, run_doc("model_config"),
-                      {"filters": 16, "lstm_units": 40}),
-        }[section]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({section: keys}))
-        assert run(*argv, "--config", path, "--out", out) == 0
-        doc = written()
-        assert {key: doc[key] for key in expected} == expected
+    def test_colliding_variant_tags_rejected(self, pipeline, tmp_path, capsys):
+        """0.9 and 0.9000001 both print as stretch_0.9, which would name one
+        file for two variants."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "time_stretch_rates": [0.9, 0.9000001], "pitch_shift_semitones": [],
+            "noise_snrs_db": [], "combined": False}))
+        capsys.readouterr()
+        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
+                   "--plan", path, "--out", tmp_path / "out") == 1
+        assert "error: two variants of the plan share the tag 'stretch_0.9'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-0.01"])
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    def test_learning_rate_must_be_finite_and_positive(self, pipeline, tmp_path, capsys,
-                                                       route, rate):
-        if route == "flag":
-            given = ("--learning-rate", rate)
-        else:
-            given = ("--config", tmp_path / "config.json")
-            given[1].write_text(json.dumps({"train": {"learning_rate": float(rate)}}))
+    def test_learning_rate_must_be_finite_and_positive(self, pipeline, tmp_path, capsys, rate):
         assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
                    "--features", pipeline["features"], "--mfcc", "13", "--epochs", 1,
-                   *given, "--out", tmp_path / "r") == 1
+                   "--learning-rate", rate, "--out", tmp_path / "r") == 1
         err = capsys.readouterr().err
         assert "error: learning_rate must be a finite number > 0" in err
         assert "Traceback" not in err
@@ -295,20 +310,6 @@ class TestAugment:
         assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
                    "--variants", -1, "--out", tmp_path / "out") == 1
         assert "error: --variants must be >= 0, got -1" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_colliding_variant_tags_rejected(self, pipeline, tmp_path, capsys):
-        """0.9 and 0.9000001 both print as stretch_0.9, which would name one
-        file for two variants."""
-        config = tmp_path / "pipeline.json"
-        config.write_text(json.dumps({"plan": {
-            "time_stretch_rates": [0.9, 0.9000001], "pitch_shift_semitones": [],
-            "noise_snrs_db": [], "combined": False}}))
-        capsys.readouterr()
-        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
-                   "--config", config, "--out", tmp_path / "out") == 1
-        assert "error: two variants of the plan share the tag 'stretch_0.9'" in (
-            capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_paper_scale_counts(self, tmp_path, capsys):
@@ -341,18 +342,15 @@ class TestExtract:
         assert sorted(pipeline["features"].iterdir()) == stores
         assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in stores] == before
 
-    def test_jobs_do_not_change_the_store(self, pipeline, tmp_path, monkeypatch):
+    def test_extract_starts_no_pool(self, pipeline, tmp_path, monkeypatch):
         def no_pool(*_):
             raise AssertionError("extract started a process pool")
 
         monkeypatch.setattr(train_eval, "map_tasks", no_pool)  # extract runs in one process
-        for jobs in (1, 2):
-            assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
-                       "--mfcc", "13", "--max-frames", 6, "--jobs", jobs,
-                       "--out", tmp_path / f"jobs{jobs}") == 0
-        serial = (tmp_path / "jobs1" / "mfcc13.npz").read_bytes()
-        assert (tmp_path / "jobs2" / "mfcc13.npz").read_bytes() == serial
-        assert (pipeline["features"] / "mfcc13.npz").read_bytes() == serial
+        assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--mfcc", "13", "--max-frames", 6, "--out", tmp_path / "f") == 0
+        assert ((tmp_path / "f" / "mfcc13.npz").read_bytes()
+                == (pipeline["features"] / "mfcc13.npz").read_bytes())
 
     def test_both_widths_equal_separate_runs(self, pipeline, tmp_path, capsys):
         manifest = pipeline["augmented"] / "manifest.jsonl"
