@@ -185,6 +185,8 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     """
     if len(buffer.samples) == 0:
         raise ParameterError("refusing to write an empty buffer")
+    if not np.isfinite(buffer.samples).all():
+        raise ParameterError(f"{path}: refusing to write non-finite (NaN or infinite) samples")
     clipped = np.clip(buffer.samples, -1.0, 1.0)
     ints = np.clip(np.rint(clipped * 32768.0), -32768, 32767).astype("<i2")
     payload = ints.tobytes()

@@ -29,6 +29,9 @@ OLA_GRAIN = 2048
 OLA_HOP = 512
 OLA_TOLERANCE = 384
 OLA_TEMPLATE = 384
+# the stretch rates time_stretch takes, and the largest shift pitch_shift takes
+STRETCH_RATES = (0.5, 2.0)
+MAX_SEMITONES = 12
 
 
 @dataclass
@@ -44,6 +47,21 @@ class AugmentationPlan:
     rng_seed: int = 0
 
     def __post_init__(self):
+        lo, hi = STRETCH_RATES
+        for name, values in (("time_stretch_rates", self.time_stretch_rates),
+                             ("combined_stretch_rate", (self.combined_stretch_rate,))):
+            if not all(lo <= rate <= hi for rate in values):
+                raise ParameterError(f"{name}: stretch rates must be in [{lo}, {hi}], "
+                                     f"got {list(values)}")
+        if not all(abs(s) <= MAX_SEMITONES for s in self.pitch_shift_semitones):
+            raise ParameterError(f"pitch_shift_semitones: |semitones| must be <= "
+                                 f"{MAX_SEMITONES}, got {list(self.pitch_shift_semitones)}")
+        # +inf is the no-noise sentinel; NaN and -inf name no noise level
+        for name, values in (("noise_snrs_db", self.noise_snrs_db),
+                             ("combined_snr_db", (self.combined_snr_db,))):
+            if not all(-math.inf < snr <= math.inf for snr in values):
+                raise ParameterError(f"{name}: SNRs must be numbers of dB or inf (no noise), "
+                                     f"got {list(values)}")
         tags = set()
         for tag, _, _ in self.variants():
             if tag in tags:  # each tag names one output file per original
@@ -77,8 +95,9 @@ def time_stretch(buffer: AudioBuffer, rate: float) -> AudioBuffer:
     per-grain similarity search keeps adjacent grains phase-aligned so tones
     sum coherently instead of beating.
     """
-    if not 0.5 <= rate <= 2.0:
-        raise ParameterError(f"stretch rate must be in [0.5, 2.0], got {rate}")
+    lo, hi = STRETCH_RATES
+    if not lo <= rate <= hi:
+        raise ParameterError(f"stretch rate must be in [{lo}, {hi}], got {rate}")
     x = buffer.samples
     if rate == 1.0:
         return AudioBuffer(x.copy(), buffer.sample_rate)
@@ -120,8 +139,8 @@ def time_stretch(buffer: AudioBuffer, rate: float) -> AudioBuffer:
 def pitch_shift(buffer: AudioBuffer, semitones: float) -> AudioBuffer:
     """Scale every frequency by 2^(semitones/12) at unchanged duration:
     stretch the signal to factor x length, then linearly resample back."""
-    if abs(semitones) > 12:
-        raise ParameterError(f"|semitones| must be <= 12, got {semitones}")
+    if not abs(semitones) <= MAX_SEMITONES:
+        raise ParameterError(f"|semitones| must be <= {MAX_SEMITONES}, got {semitones}")
     if semitones == 0.0:
         return AudioBuffer(buffer.samples.copy(), buffer.sample_rate)
     factor = 2.0 ** (semitones / 12.0)

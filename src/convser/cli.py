@@ -3,12 +3,16 @@
 Subcommands: synth, augment, extract, train, grid, evaluate, predict, report.
 Each takes only the options it reads, and each setting has one route: a
 flag, or for the augmentation plan the JSON object `augment --plan` reads,
-which is the augmentation_plan.json augment writes. synth, augment, train
-and grid take --seed and --jobs; all randomness flows from --seed, and full
-runs are reproducible bit for bit. Feature stores, model files and run
-reports record the feature config that produced them; a re-run of extract
-reuses the stored rows of every record whose audio and feature config are
-unchanged. Log verbosity comes from CONVSER_LOG (error|info|debug).
+which is the augmentation_plan.json augment writes. What no run varies is a
+constant: the feature framing (dsp_features.FRAME_LEN, HOP, N_MELS) and the
+synthetic class signatures and jitter (synth_data), so a feature config is
+its width and frame count, and a synthetic corpus is separable or --null.
+synth, augment, train and grid take --seed and --jobs; all randomness flows
+from --seed, and full runs are reproducible bit for bit. Feature stores,
+model files and run reports record the feature config that produced them; a
+re-run of extract reuses the stored rows of every record whose audio and
+feature config are unchanged. Log verbosity comes from CONVSER_LOG
+(error|info|debug).
 """
 
 from __future__ import annotations
@@ -58,11 +62,11 @@ PLAN_VALUE_RULES = (
 )
 
 
-def _load_plan_file(path) -> dict:
-    """The fields set by the JSON AugmentationPlan object at path, the format
-    augment writes as augmentation_plan.json; none without a path."""
+def _load_plan_file(path) -> augmentation.AugmentationPlan:
+    """The JSON AugmentationPlan object at path, the format augment writes as
+    augmentation_plan.json; the default plan without a path."""
     if path is None:
-        return {}
+        return augmentation.AugmentationPlan()
     try:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -78,13 +82,15 @@ def _load_plan_file(path) -> dict:
                                     if isinstance(defaults[key], rule[0]))
         if not accepts(value):
             raise ParameterError(f"{path}: key {key!r} must be {expected}, got {value!r}")
-    return doc
+    try:
+        return augmentation.AugmentationPlan(**doc)
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 # {argparse dest: field} of the flags that set each config object
 SYNTH_FLAGS = {"n": "n_originals", "duration": "duration_s", "seed": "seed"}
-PLAN_FLAGS = {"seed": "rng_seed"}
-FEATURE_FLAGS = {name: name for name in ("frame_len", "hop", "max_frames", "n_mels")}
+FEATURE_FLAGS = {"max_frames": "max_frames"}
 TRAIN_FLAGS = {name: name for name in ("epochs", "batch_size", "learning_rate", "split_mode",
                                        "n_shuffles", "dtype", "seed")}
 MODEL_FLAGS = {"filters": "filters", "kernel": "kernel_size", "lstm": "lstm_units"}
@@ -126,8 +132,7 @@ def _model_feature_config(path, extra) -> dsp_features.FeatureConfig:
 
 
 def cmd_synth(args) -> int:
-    spec_class = synth_data.SynthSpec.null if args.null else synth_data.SynthSpec
-    spec = _settings(spec_class, args, SYNTH_FLAGS)
+    spec = _settings(synth_data.SynthSpec, args, SYNTH_FLAGS, null=args.null)
     manifest = synth_data.generate_corpus(spec, args.out, jobs=args.jobs or _usable_cores())
     counts = manifest.label_counts()
     print(f"wrote {len(manifest)} files to {args.out} "
@@ -136,19 +141,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    plan = _settings(augmentation.AugmentationPlan, args, PLAN_FLAGS,
-                     **_load_plan_file(args.plan))
-    if args.variants is not None:
-        if args.variants < 0:
-            raise ParameterError(f"--variants must be >= 0, got {args.variants}")
-        kept = plan.variants()[: args.variants]
-        plan = replace(
-            plan,
-            time_stretch_rates=tuple(p for _, k, p in kept if k == "time_stretch"),
-            pitch_shift_semitones=tuple(p for _, k, p in kept if k == "pitch_shift"),
-            noise_snrs_db=tuple(p for _, k, p in kept if k == "noise"),
-            combined=any(k == "combined" for _, k, _ in kept),
-        )
+    plan = _load_plan_file(args.plan)
+    if args.seed is not None:
+        plan = replace(plan, rng_seed=args.seed)
     manifest = load_manifest(args.manifest)
     merged = augmentation.augment_dataset(manifest, plan, args.out,
                                           jobs=args.jobs or _usable_cores())
@@ -163,6 +158,7 @@ def cmd_augment(args) -> int:
 def cmd_extract(args) -> int:
     manifest = load_manifest(args.manifest)
     widths = GRID_WIDTHS if args.mfcc == "both" else (int(args.mfcc),)
+    max_frames = _settings(dsp_features.FeatureConfig, args, FEATURE_FLAGS).max_frames
     failures = []
     hashes = {}
     for rec in manifest.records:
@@ -174,25 +170,24 @@ def cmd_extract(args) -> int:
     for width in widths:
         # rows of another config are dropped; ids outside this manifest are kept
         stores[width], fresh[width] = dsp_features.cached_features_fresh(
-            args.out, _settings(dsp_features.FeatureConfig, args, FEATURE_FLAGS, n_mfcc=width),
-            hashes)
+            args.out, dsp_features.FeatureConfig(width, max_frames), hashes)
         stale[width] = set(hashes) - fresh[width]
     # each record is read and transformed once for all the widths it lacks
     extracted = dict.fromkeys(widths, 0)
     for rec in manifest.records:
-        configs = [stores[w].config for w in widths if rec.id in stale[w]]
-        if not configs:
+        lacking = [w for w in widths if rec.id in stale[w]]
+        if not lacking:
             continue
         try:
-            matrices = dsp_features.extract_widths(load_wav(manifest.resolve(rec)), configs)
+            matrices = dsp_features.extract_widths(load_wav(manifest.resolve(rec)), lacking,
+                                                   max_frames)
         except Exception as exc:  # a failed record is reported, not silently skipped
             failures.append((rec.id, f"{type(exc).__name__}: {exc}"))
             continue
-        for config, fm in zip(configs, matrices):
-            store = stores[config.n_mfcc]
-            store.rows[rec.id] = fm.values[: fm.n_valid_frames].copy()
-            store.hashes[rec.id] = hashes[rec.id]
-            extracted[config.n_mfcc] += 1
+        for width, fm in zip(lacking, matrices):
+            stores[width].rows[rec.id] = fm.values[: fm.n_valid_frames].copy()
+            stores[width].hashes[rec.id] = hashes[rec.id]
+            extracted[width] += 1
     for width in widths:
         if stale[width] or not fresh[width]:  # a warm run rewrites nothing
             dsp_features.save_features(stores[width], args.out)
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="number of original recordings")
     p.add_argument("--duration", type=float, default=None, help="clip length in seconds")
     p.add_argument("--null", action="store_true",
-                   help="identical class signatures (labels carry no signal)")
+                   help="one class signature for both labels (labels carry no signal)")
     p.add_argument("--out", required=True, help="output corpus directory")
     p.set_defaults(func=cmd_synth)
 
@@ -344,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default=None,
                    help="augmentation plan JSON object, as augment writes it to "
                         "augmentation_plan.json (--seed overrides its rng_seed)")
-    p.add_argument("--variants", type=int, default=None,
-                   help="cap the number of variants per original (0 = originals only)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
@@ -353,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--mfcc", choices=("13", "40", "both"), default="both",
                    help="feature width: 13 (c1..c12 + frame log energy), 40 (c0..c39) or both")
-    p.add_argument("--frame-len", dest="frame_len", type=int, default=None)
-    p.add_argument("--hop", type=int, default=None)
-    p.add_argument("--n-mels", dest="n_mels", type=int, default=None)
     p.add_argument("--max-frames", dest="max_frames", type=int, default=None)
     p.add_argument("--out", required=True, help="feature store root")
     p.set_defaults(func=cmd_extract)

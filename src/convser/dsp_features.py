@@ -18,7 +18,7 @@ import functools
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -28,28 +28,24 @@ from .exceptions import FormatError, ParameterError
 
 # added inside every logarithm, so silence gives a finite ln(LOG_FLOOR)
 LOG_FLOOR = 1e-10
+# every extraction frames the signal into FRAME_LEN samples (186 ms at
+# CANONICAL_RATE) every HOP samples, no overlap, through N_MELS Mel filters
+FRAME_LEN = 8192
+HOP = 8192
+N_MELS = 64
 
 
 @dataclass
 class FeatureConfig:
-    """Framing and width of the features, extracted at CANONICAL_RATE over
-    the full Mel band, 0 Hz to half that rate."""
+    """Width and padded length of the features, extracted at CANONICAL_RATE
+    over the full Mel band, 0 Hz to half that rate."""
 
-    frame_len: int = 8192
-    hop: int = 8192
-    n_mels: int = 64
     n_mfcc: int = 40
     max_frames: int = 775
 
     def __post_init__(self):
-        if self.frame_len < 2 or self.frame_len & (self.frame_len - 1):
-            raise ParameterError(f"frame_len must be a power of two, got {self.frame_len}")
-        if self.hop < 1:
-            raise ParameterError("hop must be >= 1")
         if self.n_mfcc not in (13, 40):
             raise ParameterError(f"n_mfcc must be 13 or 40, got {self.n_mfcc}")
-        if self.n_mels < self.n_mfcc:
-            raise ParameterError(f"n_mels = {self.n_mels} too small for n_mfcc = {self.n_mfcc}")
         if self.max_frames < 1:
             raise ParameterError("max_frames must be >= 1")
 
@@ -186,12 +182,12 @@ def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.nda
     return matrix
 
 
-@functools.lru_cache(maxsize=8)
-def _dsp_constants(frame_len, n_mels):
-    """The Hamming window, Mel filterbank and n_mels x n_mels DCT-II basis of
-    one frame length and filter count, built once and shared read-only."""
-    constants = (hamming_window(frame_len), mel_filterbank(frame_len, n_mels),
-                 dct_matrix(n_mels))
+@functools.cache
+def _dsp_constants():
+    """The Hamming window, Mel filterbank and N_MELS x N_MELS DCT-II basis,
+    built once and shared read-only."""
+    constants = (hamming_window(FRAME_LEN), mel_filterbank(FRAME_LEN, N_MELS),
+                 dct_matrix(N_MELS))
     for array in constants:
         array.flags.writeable = False
     return constants
@@ -204,35 +200,32 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     CANONICAL_RATE. Output is a max_frames x n_mfcc matrix normalized into
     [-1, 1]; rows past the valid frame count are zero.
     """
-    return extract_widths(buffer, [config])[0]
+    return extract_widths(buffer, [config.n_mfcc], config.max_frames)[0]
 
 
-def extract_widths(buffer: AudioBuffer, configs) -> list:
-    """extract_features for each config, in order, from one pass of the
-    pipeline's front end: the buffer is framed, windowed, transformed and
+def extract_widths(buffer: AudioBuffer, widths, max_frames: int) -> list:
+    """extract_features at each width (13 or 40), in order, from one pass of
+    the pipeline's front end: the buffer is framed, windowed, transformed and
     Mel-filtered once, and every width is finished from the same log-Mel
-    energies. The configs may differ in n_mfcc only."""
-    config = configs[0]
-    if any(replace(c, n_mfcc=config.n_mfcc) != config for c in configs):
-        raise ParameterError("configs extracted together may differ in n_mfcc only")
+    energies."""
     if buffer.sample_rate != CANONICAL_RATE:
         buffer = resample_linear(buffer, CANONICAL_RATE)
     if not np.isfinite(buffer.samples).all():
         raise ParameterError("buffer holds non-finite (NaN or infinite) samples")
-    frames = frame_signal(buffer, config.frame_len, config.hop)
-    window, fb, dct = _dsp_constants(config.frame_len, config.n_mels)
+    frames = frame_signal(buffer, FRAME_LEN, HOP)
+    window, fb, dct = _dsp_constants()
     power = fft_power_spectrum(frames * window)
     log_e = log_mel_energies(power, fb)
 
-    n_valid = min(len(frames), config.max_frames)
+    n_valid = min(len(frames), max_frames)
     out = []
-    for width in (c.n_mfcc for c in configs):
+    for width in widths:
         if width == 40:
             raw = log_e @ dct[:40].T
         else:
             cepstra = log_e @ dct[:13].T
             raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames)])
-        values = np.zeros((config.max_frames, width))
+        values = np.zeros((max_frames, width))
         values[:n_valid] = normalize_centered(raw[:n_valid])
         out.append(FeatureMatrix(values=values, n_valid_frames=n_valid))
     return out

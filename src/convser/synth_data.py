@@ -4,15 +4,15 @@ Each file is a harmonic tone stack whose class identity is carried by two
 cues that survive the MFCC pipeline: the amplitude-modulation rate (a
 frame-to-frame temporal pattern for the LSTM) and the spectral tilt (a
 static envelope cue living in the low-order cepstra). Per-file jitter keeps
-samples from collapsing onto one waveform; identical class signatures yield
-a null corpus whose labels carry no signal at all.
+samples from collapsing onto one waveform; a null corpus synthesises both
+classes from one signature, so its labels carry no signal at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,40 +32,22 @@ from .seeding import rng_for
 from .train_eval import map_tasks
 
 
-@dataclass
-class ClassSignature:
-    fundamental_hz: float = 160.0
-    am_rate_hz: float = 4.0
-    tilt_db_per_octave: float = -6.0
-
-
-@dataclass
-class Jitter:
-    """Relative/absolute perturbation ranges drawn once per generated file.
-
-    All-zero jitter disables every random element (perturbations, harmonic
-    phases, noise floor), so equal signatures then produce identical files —
-    a genuinely constant corpus."""
-
-    fundamental_pct: float = 0.05
-    am_rate_pct: float = 0.10
-    tilt_db: float = 0.5
-
-    @property
-    def is_zero(self) -> bool:
-        return self.fundamental_pct == 0.0 and self.am_rate_pct == 0.0 and self.tilt_db == 0.0
+# (fundamental Hz, amplitude-modulation rate Hz, spectral tilt dB/octave) of
+# class 0 and class 1; a null corpus synthesises both classes from class 0's
+CLASS_SIGNATURES = ((160.0, 4.0, -6.0), (160.0, 8.0, -3.0))
+# per-file jitter, drawn once per file: the fundamental and the AM rate move
+# by up to these fractions, the tilt by up to TILT_JITTER_DB
+FUNDAMENTAL_JITTER = 0.05
+AM_RATE_JITTER = 0.10
+TILT_JITTER_DB = 0.5
 
 
 @dataclass
 class SynthSpec:
     n_originals: int = 38
     duration_s: float = 10.0
-    class0_signature: ClassSignature = field(default_factory=ClassSignature)
-    class1_signature: ClassSignature = field(
-        default_factory=lambda: ClassSignature(am_rate_hz=8.0, tilt_db_per_octave=-3.0)
-    )
-    jitter: Jitter = field(default_factory=Jitter)
     seed: int = 0
+    null: bool = False  # both classes from one signature: labels carry no signal
 
     def __post_init__(self):
         if not 0 < self.duration_s < math.inf:
@@ -74,22 +56,12 @@ class SynthSpec:
             raise ParameterError(f"duration_s {self.duration_s} holds no sample at "
                                  f"{CANONICAL_RATE} Hz")
 
-    @classmethod
-    def null(cls, **overrides) -> "SynthSpec":
-        """Identical signatures for both classes: labels carry no signal."""
-        return cls(
-            class0_signature=ClassSignature(),
-            class1_signature=ClassSignature(),
-            **overrides,
-        )
 
-
-def _synthesize(signature: ClassSignature, jitter: Jitter, duration_s: float,
-                rng: np.random.Generator) -> np.ndarray:
-    deterministic = jitter.is_zero
-    f0 = signature.fundamental_hz * (1.0 + rng.uniform(-1, 1) * jitter.fundamental_pct)
-    am_rate = signature.am_rate_hz * (1.0 + rng.uniform(-1, 1) * jitter.am_rate_pct)
-    tilt = signature.tilt_db_per_octave + rng.uniform(-1, 1) * jitter.tilt_db
+def _synthesize(fundamental_hz: float, am_rate_hz: float, tilt_db_per_octave: float,
+                duration_s: float, rng: np.random.Generator) -> np.ndarray:
+    f0 = fundamental_hz * (1.0 + rng.uniform(-1, 1) * FUNDAMENTAL_JITTER)
+    am_rate = am_rate_hz * (1.0 + rng.uniform(-1, 1) * AM_RATE_JITTER)
+    tilt = tilt_db_per_octave + rng.uniform(-1, 1) * TILT_JITTER_DB
 
     n = int(round(duration_s * CANONICAL_RATE))
     t = np.arange(n) / CANONICAL_RATE
@@ -97,21 +69,18 @@ def _synthesize(signature: ClassSignature, jitter: Jitter, duration_s: float,
     x = np.zeros(n)
     for k in range(1, n_harmonics + 1):
         amp = 10.0 ** (tilt * np.log2(k) / 20.0)
-        phase = 0.0 if deterministic else rng.uniform(0, 2 * np.pi)
-        x += amp * np.sin(2.0 * np.pi * k * f0 * t + phase)
+        x += amp * np.sin(2.0 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
 
-    am_phase = 0.0 if deterministic else rng.uniform(0, 2 * np.pi)
-    x *= 1.0 + 0.8 * np.sin(2.0 * np.pi * am_rate * t + am_phase)
-    if not deterministic:
-        x += 10.0 ** (-35.0 / 20.0) * np.sqrt(np.mean(x * x)) * rng.standard_normal(n)
+    x *= 1.0 + 0.8 * np.sin(2.0 * np.pi * am_rate * t + rng.uniform(0, 2 * np.pi))
+    x += 10.0 ** (-35.0 / 20.0) * np.sqrt(np.mean(x * x)) * rng.standard_normal(n)
     return 0.3 * x / np.abs(x).max()
 
 
 def _write_original(task):
     """Synthesise and write one original's WAV."""
     spec, rec, out_dir = task
-    signature = spec.class1_signature if rec.label == 1 else spec.class0_signature
-    samples = _synthesize(signature, spec.jitter, spec.duration_s, rng_for(spec.seed, rec.id))
+    signature = CLASS_SIGNATURES[0 if spec.null else rec.label]
+    samples = _synthesize(*signature, spec.duration_s, rng_for(spec.seed, rec.id))
     write_wav(AudioBuffer(samples, CANONICAL_RATE), out_dir / rec.path)
 
 

@@ -73,6 +73,8 @@ class TrainConfig:
             raise ParameterError(f"split_mode {self.split_mode!r} not in {SPLIT_MODES}")
         if self.dtype not in ("float32", "float64"):
             raise ParameterError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

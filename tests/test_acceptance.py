@@ -228,7 +228,7 @@ def test_c6_desk_scale_learnability(separable_corpus):
 
 @pytest.mark.slow
 def test_c7_null_corpus_chance_band(tmp_path):
-    manifest = generate_corpus(SynthSpec.null(n_originals=38, duration_s=10.0, seed=42),
+    manifest = generate_corpus(SynthSpec(n_originals=38, duration_s=10.0, seed=42, null=True),
                                tmp_path / "src")
     merged = augment_dataset(manifest, AugmentationPlan(rng_seed=42), tmp_path / "aug")
     features = extract_all(merged, FeatureConfig(n_mfcc=13, max_frames=60))
@@ -244,7 +244,7 @@ def test_c7_null_corpus_chance_band(tmp_path):
 
 
 def test_c8_leakage_visibility(tmp_path):
-    manifest = generate_corpus(SynthSpec.null(n_originals=12, duration_s=2.0, seed=42),
+    manifest = generate_corpus(SynthSpec(n_originals=12, duration_s=2.0, seed=42, null=True),
                                tmp_path / "src")
     copy_plan = AugmentationPlan(
         time_stretch_rates=(1.0,),

@@ -175,6 +175,13 @@ class TestWriteWav:
         with pytest.raises(ParameterError):
             write_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "x.wav")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, bad):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ParameterError, match="x.wav: refusing to write non-finite"):
+            write_wav(AudioBuffer(np.array([0.1, bad, 0.0]), 8000), path)
+        assert not path.exists()
+
 
 class TestResample:
     def test_identity_when_rates_match(self):

@@ -117,6 +117,32 @@ class TestAugmentDataset:
         with pytest.raises(ParameterError, match=re.escape(f"share the tag '{tag}'")):
             AugmentationPlan(**overrides)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"time_stretch_rates": (0.9, 2.01)}, "time_stretch_rates"),
+        ({"time_stretch_rates": (math.nan,)}, "time_stretch_rates"),
+        ({"combined_stretch_rate": 0.49}, "combined_stretch_rate"),
+        ({"pitch_shift_semitones": (-12.5,)}, "pitch_shift_semitones"),
+        ({"pitch_shift_semitones": (math.nan,)}, "pitch_shift_semitones"),
+        ({"noise_snrs_db": (math.nan,)}, "noise_snrs_db"),
+        ({"noise_snrs_db": (10.0, -math.inf)}, "noise_snrs_db"),
+        ({"combined_snr_db": math.nan}, "combined_snr_db"),
+    ])
+    def test_values_the_augmentations_reject_are_rejected_by_the_plan(self, overrides, field):
+        with pytest.raises(ParameterError, match=f"^{field}: "):
+            AugmentationPlan(**overrides)
+
+    def test_plan_bounds_are_those_of_the_augmentations(self):
+        """The range ends are accepted by both, and +inf is the no-noise sentinel."""
+        AugmentationPlan(time_stretch_rates=(0.5, 2.0), pitch_shift_semitones=(-12, 12),
+                         noise_snrs_db=(math.inf, -40.0), combined_stretch_rate=2.0,
+                         combined_snr_db=math.inf)
+        tone = make_tone(200, duration_s=0.2)
+        for rate in (0.5, 2.0):
+            time_stretch(tone, rate)
+        for semitones in (-12, 12):
+            pitch_shift(tone, semitones)
+        add_noise(tone, -40.0, seed=1)
+
     def test_one_original_becomes_eight(self, tmp_path):
         manifest = generate_corpus(SynthSpec(n_originals=1, duration_s=1.0, seed=3),
                                    tmp_path / "src")

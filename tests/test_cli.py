@@ -60,14 +60,13 @@ class TestSynth:
         assert "error: duration_s" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    def test_null_writes_equal_class_signatures(self, tmp_path):
-        specs = {}
+    def test_null_sets_the_specs_null(self, tmp_path):
         for name, null in (("signal", ()), ("null", ("--null",))):
             assert run("synth", "--n", 2, "--duration", 0.3, "--seed", 1, *null,
                        "--out", tmp_path / name) == 0
-            specs[name] = json.loads((tmp_path / name / "synth_spec.json").read_text())
-        assert specs["null"]["class0_signature"] == specs["null"]["class1_signature"]
-        assert specs["signal"]["class0_signature"] != specs["signal"]["class1_signature"]
+            spec = json.loads((tmp_path / name / "synth_spec.json").read_text())
+            assert spec == {"n_originals": 2, "duration_s": 0.3, "seed": 1,
+                            "null": name == "null"}
 
     def test_missing_out_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -179,6 +178,9 @@ REQUIRED = {
     *[(command, option) for command in ("extract", "evaluate", "predict", "report")
       for option in ("--seed", "--jobs", "--config")],
     *[(command, "--config") for command in ("synth", "augment", "train", "grid")],
+    # the feature framing is constant, and a trimmed plan is a --plan file
+    *[("extract", option) for option in ("--hop", "--frame-len", "--n-mels")],
+    ("augment", "--variants"),
 ])
 def test_options_a_command_does_not_read_are_usage_errors(command, option, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -208,13 +210,20 @@ class TestPlanFile:
                            "combined_stretch_rate": 1.05, "combined_snr_db": 15.0,
                            "rng_seed": 0}
 
-    @pytest.mark.parametrize("variants", [(), ("--variants", 3)])
-    def test_a_written_plan_rebuilds_its_tree(self, pipeline, tmp_path, variants):
+    @pytest.mark.parametrize("plan", [None, {"pitch_shift_semitones": [-2.0],
+                                             "noise_snrs_db": [], "combined": False}],
+                             ids=["default", "trimmed"])
+    def test_a_written_plan_rebuilds_its_tree(self, pipeline, tmp_path, plan):
         """The plan augment records, given back with --plan, writes the same
-        files: the seed and the --variants trim travel in the file."""
+        files: the seed and the plan's variants travel in the file."""
         first = tmp_path / "first"
+        given = ()
+        if plan is not None:
+            (tmp_path / "plan.json").write_text(json.dumps(plan))
+            given = ("--plan", tmp_path / "plan.json")
         assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
-                   "--seed", 5, *variants, "--out", first) == 0
+                   "--seed", 5, *given, "--out", first) == 0
+        assert len(tree_bytes(first)) == 6 * (8 if plan is None else 4) + 2
         assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
                    "--plan", first / "augmentation_plan.json", "--out", tmp_path / "again") == 0
         assert tree_bytes(tmp_path / "again") == tree_bytes(first)
@@ -246,6 +255,15 @@ class TestPlanFile:
          "key 'pitch_shift_semitones' must be a list of numbers"),
         # a pipeline file of the former five-section format is rejected, not half read
         ('{"plan": {"combined": false}}', "unknown key 'plan'"),
+        # values the augmentations reject are rejected before any file is written
+        ('{"noise_snrs_db": [NaN]}', "noise_snrs_db: SNRs must be numbers of dB or inf"),
+        ('{"noise_snrs_db": [20, -Infinity]}', "noise_snrs_db: SNRs must be numbers of dB"),
+        ('{"combined_snr_db": NaN}', "combined_snr_db: SNRs must be numbers of dB"),
+        ('{"time_stretch_rates": [3.0]}',
+         "time_stretch_rates: stretch rates must be in [0.5, 2.0], got [3.0]"),
+        ('{"combined_stretch_rate": 0.4}', "combined_stretch_rate: stretch rates must be in"),
+        ('{"pitch_shift_semitones": [13]}',
+         "pitch_shift_semitones: |semitones| must be <= 12, got [13]"),
     ])
     def test_bad_file_exits_1(self, pipeline, tmp_path, capsys, text, message):
         path = tmp_path / "plan.json"
@@ -273,7 +291,7 @@ class TestPlanFile:
         capsys.readouterr()
         assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
                    "--plan", path, "--out", tmp_path / "out") == 1
-        assert "error: two variants of the plan share the tag 'stretch_0.9'" in (
+        assert f"error: {path}: two variants of the plan share the tag 'stretch_0.9'" in (
             capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -285,6 +303,17 @@ class TestPlanFile:
         err = capsys.readouterr().err
         assert "error: learning_rate must be a finite number > 0" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("train", ("--mfcc", "13", "--jobs", 1)), ("grid", ())])
+    def test_negative_seed_rejected(self, pipeline, tmp_path, capsys, command, options):
+        """Rejected before any training: grid records no failed cells."""
+        capsys.readouterr()
+        assert run(command, "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", pipeline["features"], *options, "--epochs", 1,
+                   "--seed", -1, "--out", tmp_path / "r") == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "r").exists()
 
 
@@ -299,18 +328,14 @@ class TestAugment:
         assert (out / "augmentation_plan.json").is_file()
 
     def test_zero_variants_identity(self, pipeline, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"time_stretch_rates": [], "pitch_shift_semitones": [],
+                                    "noise_snrs_db": [], "combined": False}))
         assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
-                   "--variants", 0, "--out", tmp_path / "noop") == 0
+                   "--plan", plan, "--out", tmp_path / "noop") == 0
         assert "6 -> 6" in capsys.readouterr().out
         manifest = (tmp_path / "noop" / "manifest.jsonl").read_text().splitlines()
         assert len(manifest) == 6
-
-    def test_negative_variants_rejected(self, pipeline, tmp_path, capsys):
-        capsys.readouterr()
-        assert run("augment", "--manifest", pipeline["corpus"] / "manifest.jsonl",
-                   "--variants", -1, "--out", tmp_path / "out") == 1
-        assert "error: --variants must be >= 0, got -1" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_paper_scale_counts(self, tmp_path, capsys):
         assert run("synth", "--n", 38, "--duration", 0.5, "--seed", 2,
@@ -436,6 +461,7 @@ class TestExtract:
 OLDER_STORE_KEYS = {
     "old_version": {"feature_mode": "classic13", "n_fft": 8192},
     "before_constants": {"sample_rate": 44100, "fmin": 0.0, "fmax": 22050.0, "log_floor": 1e-10},
+    "before_framing_constants": {"frame_len": 8192, "hop": 8192, "n_mels": 64},
 }
 
 
@@ -460,7 +486,7 @@ def damage_store(pipeline, tmp_path, damage):
     return features
 
 
-@pytest.mark.parametrize("damage", ["junk", "truncated", "old_version", "before_constants"])
+@pytest.mark.parametrize("damage", ["junk", "truncated", *OLDER_STORE_KEYS])
 class TestCorruptStore:
     """A damaged or older-version store exits 1 with an error that names the
     file and the fix."""
@@ -590,7 +616,6 @@ class TestTrainPredictEvaluate:
 
     @pytest.mark.parametrize("flags, differ", [
         (("--max-frames", 3), "max_frames: store 3, model 6"),
-        (("--max-frames", 6, "--n-mels", 48), "n_mels: store 48, model 64"),
     ])
     def test_evaluate_rejects_a_store_of_other_settings(self, pipeline, run_dir, tmp_path,
                                                          capsys, flags, differ):
@@ -639,6 +664,8 @@ class TestTrainPredictEvaluate:
         # one written before the audio rate, Mel band and log floor became constants
         {"sample_rate": 44100, "frame_len": 8192, "hop": 8192, "n_mels": 64, "n_mfcc": 13,
          "fmin": 0.0, "fmax": 22050.0, "log_floor": 1e-10, "max_frames": 6},
+        # one written before the framing and Mel filter count became constants
+        {"frame_len": 8192, "hop": 8192, "n_mels": 64, "n_mfcc": 13, "max_frames": 6},
     ])
     def test_predict_needs_a_usable_feature_config(self, pipeline, run_dir, tmp_path, capsys,
                                                    feature_config):

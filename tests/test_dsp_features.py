@@ -4,7 +4,10 @@ import pytest
 from convser import dsp_features
 from convser.audio_io import CANONICAL_RATE, AudioBuffer, resample_linear
 from convser.dsp_features import (
+    FRAME_LEN,
+    HOP,
     LOG_FLOOR,
+    N_MELS,
     FeatureConfig,
     FeatureStore,
     cached_features_fresh,
@@ -117,12 +120,11 @@ class TestMelFilterbank:
         assert np.all(fb.max(axis=1) == 1.0)  # every filter peaks at 1
 
     def test_tone_at_center_maximizes_its_filter(self):
-        config = FeatureConfig()
-        fb = mel_filterbank(config.frame_len, config.n_mels)
+        fb = mel_filterbank(FRAME_LEN, N_MELS)
         for m in (5, 20, 50):
             center_bin = int(np.argmax(fb[m]))
-            freq = center_bin * CANONICAL_RATE / config.frame_len
-            t = np.arange(config.frame_len) / CANONICAL_RATE
+            freq = center_bin * CANONICAL_RATE / FRAME_LEN
+            t = np.arange(FRAME_LEN) / CANONICAL_RATE
             power = fft_power_spectrum(np.sin(2 * np.pi * freq * t))
             assert int(np.argmax(fb @ power)) == m
 
@@ -179,11 +181,6 @@ class TestDct:
 
     def test_zero_input(self):
         assert np.all(np.zeros(8) @ dct_matrix(8)[:4].T == 0.0)
-
-    def test_n_out_too_large(self):
-        # the pipeline reads n_mfcc DCT coefficients of n_mels Mel energies
-        with pytest.raises(ParameterError, match="n_mels = 39 too small"):
-            FeatureConfig(n_mfcc=40, n_mels=39)
 
 
 class TestFrameLogEnergy:
@@ -250,10 +247,10 @@ class TestExtractFeatures:
         tone = make_tone(880, duration_s=1.3)
         for width in (13, 40):
             config = FeatureConfig(n_mfcc=width, max_frames=4)
-            frames = frame_signal(tone, config.frame_len, config.hop)
-            power = fft_power_spectrum(frames * hamming_window(config.frame_len))
-            log_e = log_mel_energies(power, mel_filterbank(config.frame_len, config.n_mels))
-            dct = dct_matrix(config.n_mels)
+            frames = frame_signal(tone, FRAME_LEN, HOP)
+            power = fft_power_spectrum(frames * hamming_window(FRAME_LEN))
+            log_e = log_mel_energies(power, mel_filterbank(FRAME_LEN, N_MELS))
+            dct = dct_matrix(N_MELS)
             if width == 13:
                 # c1..c12 sliced from c0..c12: the product with rows 1..12
                 # alone may round differently in the last bit
@@ -283,13 +280,12 @@ class TestExtractFeatures:
         assert np.all(fm.values[fm.n_valid_frames :] == 0.0)
 
     def test_tone_lands_in_nearest_filter(self):
-        config = FeatureConfig(n_mfcc=40, max_frames=10)
-        fb = mel_filterbank(config.frame_len, config.n_mels)
-        centers = np.argmax(fb, axis=1) * CANONICAL_RATE / config.frame_len
+        fb = mel_filterbank(FRAME_LEN, N_MELS)
+        centers = np.argmax(fb, axis=1) * CANONICAL_RATE / FRAME_LEN
         target = int(np.argmin(np.abs(centers - 1000.0)))
         tone = make_tone(centers[target], duration_s=1.2)
-        frames = frame_signal(tone, config.frame_len, config.hop)
-        power = fft_power_spectrum(frames * hamming_window(config.frame_len))
+        frames = frame_signal(tone, FRAME_LEN, HOP)
+        power = fft_power_spectrum(frames * hamming_window(FRAME_LEN))
         responses = power @ fb.T
         assert np.all(np.argmax(responses, axis=1) == target)
 
@@ -316,10 +312,8 @@ class TestExtractFeatures:
             extract_features(tone, FeatureConfig(n_mfcc=13, max_frames=3))
 
     def test_cached_constants_are_read_only(self):
-        config = FeatureConfig(n_mfcc=40)
-        key = (config.frame_len, config.n_mels)
-        constants = dsp_features._dsp_constants(*key)
-        assert dsp_features._dsp_constants(*key) is constants
+        constants = dsp_features._dsp_constants()
+        assert dsp_features._dsp_constants() is constants
         for array in constants:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -331,13 +325,13 @@ class TestExtractFeatures:
         same pipeline with the window, filterbank and DCT built afresh."""
         tone = make_tone(523, duration_s=1.4)
         config = FeatureConfig(n_mfcc=width, max_frames=8)
-        frames = frame_signal(tone, config.frame_len, config.hop)
-        power = fft_power_spectrum(frames * hamming_window(config.frame_len))
-        log_e = log_mel_energies(power, mel_filterbank(config.frame_len, config.n_mels))
+        frames = frame_signal(tone, FRAME_LEN, HOP)
+        power = fft_power_spectrum(frames * hamming_window(FRAME_LEN))
+        log_e = log_mel_energies(power, mel_filterbank(FRAME_LEN, N_MELS))
         if width == 40:
-            raw = log_e @ dct_matrix(config.n_mels)[:40].T
+            raw = log_e @ dct_matrix(N_MELS)[:40].T
         else:
-            cepstra = log_e @ dct_matrix(config.n_mels)[:13].T
+            cepstra = log_e @ dct_matrix(N_MELS)[:13].T
             raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames)])
         expected = np.zeros((8, width))
         expected[: len(raw)] = normalize_centered(raw)
@@ -346,10 +340,13 @@ class TestExtractFeatures:
             assert fm.n_valid_frames == len(raw)
             assert np.array_equal(fm.values, expected)
 
-    def test_widths_together_share_every_other_setting(self):
-        configs = [FeatureConfig(n_mfcc=13), FeatureConfig(n_mfcc=40, n_mels=48)]
-        with pytest.raises(ParameterError, match="differ in n_mfcc only"):
-            extract_widths(make_tone(440), configs)
+    def test_widths_together_equal_each_width_alone(self):
+        tone = make_tone(440, duration_s=1.4)
+        together = extract_widths(tone, [40, 13], 5)
+        for fm, width in zip(together, (40, 13)):
+            alone = extract_features(tone, FeatureConfig(n_mfcc=width, max_frames=5))
+            assert fm.n_valid_frames == alone.n_valid_frames == 5
+            assert np.array_equal(fm.values, alone.values)
 
     def test_truncation_to_max_frames(self):
         tone = make_tone(500, duration_s=2.0)

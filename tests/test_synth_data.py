@@ -1,9 +1,10 @@
-import numpy as np
-import pytest
+from dataclasses import replace
 
-from convser.audio_io import load_manifest, load_wav
+import numpy as np
+
+from convser.audio_io import DatasetManifest, load_manifest, load_wav
 from convser.dsp_features import FeatureConfig
-from convser.synth_data import ClassSignature, Jitter, SynthSpec, generate_corpus, measure_separability
+from convser.synth_data import SynthSpec, generate_corpus, measure_separability
 
 
 class TestGenerateCorpus:
@@ -58,19 +59,27 @@ class TestSeparability:
         assert measure_separability(manifest, self.config()) >= 0.8
 
     def test_null_corpus_near_chance(self, tmp_path):
-        spec = SynthSpec.null(n_originals=16, duration_s=2.0, seed=6)
+        spec = SynthSpec(n_originals=16, duration_s=2.0, seed=6, null=True)
         manifest = generate_corpus(spec, tmp_path)
         score = measure_separability(manifest, self.config())
         assert 0.3 <= score <= 0.7
 
     def test_constant_corpus_exactly_half(self, tmp_path):
-        spec = SynthSpec.null(n_originals=8, duration_s=1.0, seed=7,
-                              jitter=Jitter(0.0, 0.0, 0.0))
-        manifest = generate_corpus(spec, tmp_path)
-        waves = {(tmp_path / rec.path).read_bytes() for rec in manifest.records}
-        assert len(waves) == 1  # zero jitter + equal signatures = constant corpus
+        """One WAV under eight ids with alternating labels: no threshold
+        beats constant prediction, so every held-out record scores 0.5."""
+        (rec,) = generate_corpus(SynthSpec(n_originals=1, duration_s=1.0, seed=7),
+                                 tmp_path).records
+        manifest = DatasetManifest(
+            records=[replace(rec, id=f"copy{k}", label=k % 2) for k in range(8)], root=tmp_path)
         assert measure_separability(manifest, self.config()) == 0.5
 
-    def test_null_spec_constructor(self):
-        spec = SynthSpec.null(n_originals=5)
-        assert spec.class0_signature == spec.class1_signature == ClassSignature()
+    def test_null_gives_class_1_the_signature_of_class_0(self, tmp_path):
+        """Each file draws its jitter from its own seed, so a null corpus
+        differs from the separable one in its class-1 files only."""
+        for null in (False, True):
+            generate_corpus(SynthSpec(n_originals=4, duration_s=0.3, seed=6, null=null),
+                            tmp_path / str(null))
+        for k in range(4):
+            name = f"synth{k:03d}.wav"
+            signal, null = ((tmp_path / tree / name).read_bytes() for tree in ("False", "True"))
+            assert (signal == null) == (k % 2 == 0)
