@@ -32,15 +32,18 @@ input gradient dflat, the ReLU mask it passes through and the conv_b
 gradient all read that n. An all-zero frame's product row is exactly +0 for
 finite weights, so skipped frames get the bias terms a full-size product
 gives them (0 + conv_b, a ReLU of +0, 0 + lstm_b) and dpre rows of zero. The
-two products that sum over all B*T rows, the lstm_w and conv_w gradients,
-sum the live rows only, one product per K-block of the full-size product
-(see _padded_product), which gives the bits the full-size product has on one
-OpenBLAS thread, on any number of threads. The LSTM step loops run all T
-steps. The bits equal the full-size form's as long as each shorter product
-runs the same BLAS kernel. OpenBLAS on AVX-512 rounds a small product with a
-small-matrix kernel, so padding is skipped only when the live frames keep at
-least 16 rows, and only when it is at least a quarter of the frames, where
-skipping pays. With OpenBLAS 0.3.31 every grid shape then keeps its kernel;
+trace keeps conv_pre and the ReLU output at all T frames; their padding lies
+on zero pages the OS maps in only when written (see _demand_zero), and only a
+non-zero conv_b is ever written there. The two products that sum over all
+B*T rows, the lstm_w and conv_w gradients, sum the live rows only, one
+product per K-block of the full-size product (see _padded_product), which
+gives the bits the full-size product has on one OpenBLAS thread, on any
+number of threads. The LSTM step loops run all T steps. The bits equal the
+full-size form's as long as each shorter product runs the same BLAS kernel.
+OpenBLAS on AVX-512 rounds a small product with a small-matrix kernel, so
+padding is skipped only when the live frames keep at least 16 rows, and only
+when it is at least a quarter of the frames, where skipping pays. With
+OpenBLAS 0.3.31 every grid shape then keeps its kernel;
 a BLAS that draws the small-kernel line elsewhere, or blocks its sums
 otherwise, may give other last bits than the full-size form. Every run still
 repeats its own bits.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import mmap
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -153,7 +157,12 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams
 
 @dataclass
 class ForwardTrace:
-    """Per-layer activations cached by the forward pass for backprop."""
+    """Per-layer activations cached by the forward pass for backprop.
+
+    Every array spans all T frames. Frames live.. of conv_pre and flat hold
+    the padding's values, 0 + conv_b and +0, on demand-zero pages when the
+    batch skipped its padding (see _conv_relu); model_backward reads neither
+    there."""
 
     x: np.ndarray            # (B, T, n_mfcc)
     live: int                # leading frames the products ran over (see _conv_relu)
@@ -246,21 +255,21 @@ def _live_frames(x):
     return t if end > limit or 0 < x.shape[0] * end < 16 else end
 
 
-def _add_bias(rows, bias, t):
-    """product + bias over a (B, t, ...) batch whose frames n.. are zero in
-    every sample, given the product rows of its first n frames, (B, n, ...).
+def _demand_zero(shape, dtype):
+    """A zero array of its own on fresh pages of a private anonymous mapping:
+    the OS supplies a page only when it is first written, already zeroed, so
+    a part never written costs neither the writes nor the page faults.
 
-    A zero frame's product row is exactly +0, so frames n.. hold 0 + bias,
-    the bits a full-size product gives them. Adds in place when n == t, so a
-    batch without padding costs what the full-size product costs."""
-    b, n = rows.shape[:2]
-    if n == t:
-        rows += bias
-        return rows
-    out = np.empty((b, t) + rows.shape[2:], rows.dtype)
-    np.add(rows, bias, out=out[:, :n])
-    out[:, n:] = np.zeros((), rows.dtype) + bias
-    return out
+    np.zeros would not do: after the first free, glibc's dynamic mmap
+    threshold serves blocks of a trace array's size from the heap, and calloc
+    then clears them. The mapping is private, not MAP_SHARED (Python's default
+    for an anonymous map), so a forked worker that writes into the array gets
+    its own copy of the page. Where MAP_PRIVATE does not exist, and for an
+    empty array, which no mapping can hold, np.zeros gives the same values."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype).reshape(shape)
 
 
 def _conv_relu(x, params: ModelParams, full: bool):
@@ -269,18 +278,29 @@ def _conv_relu(x, params: ModelParams, full: bool):
     conv_b <= 0, else n = T, since a positive (or NaN) conv_b makes the
     padding's ReLU rows non-zero. Returns n, the input windows, conv_pre and
     the ReLU output flattened per frame, (B, frames, flat_width), where
-    frames is T when full (frames n.. hold 0 + conv_b, see _add_bias, and a
-    ReLU of +0) and n otherwise."""
+    frames is n, or T when full.
+
+    The products run over the first n frames. A full-size conv_pre holds
+    0 + conv_b in frames n.. (an all-zero frame's product row is exactly +0)
+    and its ReLU output +0. When full and n < T, both arrays are _demand_zero
+    pages, so only conv_pre's padding is written, and only when some conv_b
+    is non-zero: +0 and -0.0 give +0, and training holds conv_b at zero."""
     b, t, m = x.shape
     k, filters = params.config.kernel_size, params.config.filters
     windows = _conv_windows(x, k)
     n = _live_frames(x) if (params.conv_b <= 0).all() else t
-    conv_pre = _add_bias(
-        (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters),
-        params.conv_b, t if full else n)
-    relu = np.empty_like(conv_pre)
+    rows = (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters)
+    if full and n < t:
+        conv_pre = _demand_zero((b, t, m, filters), rows.dtype)
+        np.add(rows, params.conv_b, out=conv_pre[:, :n])
+        if params.conv_b.any():
+            conv_pre[:, n:] = np.zeros((), rows.dtype) + params.conv_b
+        relu = _demand_zero(conv_pre.shape, rows.dtype)
+    else:
+        conv_pre = rows
+        conv_pre += params.conv_b
+        relu = np.empty_like(conv_pre)
     np.maximum(conv_pre[:, :n], 0.0, out=relu[:, :n])
-    relu[:, n:] = 0.0
     # row-major flatten of each timestep: coefficient outer, filter inner
     return n, windows, conv_pre, relu.reshape(conv_pre.shape[:2] + (m * filters,))
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import re
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 from .exceptions import ParameterError
 from .train_eval import GridFailure, METRIC_NAMES, RunReport
@@ -23,7 +24,8 @@ CSV_COLUMNS = (
 
 _METRIC_COLUMNS = dict(zip(METRIC_NAMES, CSV_COLUMNS[4:]))
 
-# what a metric cell may hold: a percent, an undefined ratio, or a failed cell
+# what a metric cell may hold: a percent (at most 100), an undefined ratio, or a
+# failed cell
 _METRIC_CELL = re.compile(r"\d+(\.\d+)?%|n/a|failed")
 
 
@@ -79,9 +81,10 @@ def read_results_csv(path) -> list[dict]:
         rows = [dict(row) for row in reader]
     for row in rows:
         for col in CSV_COLUMNS[4:]:
-            if not _METRIC_CELL.fullmatch(row[col] or ""):
+            cell = row[col] or ""
+            if not (_METRIC_CELL.fullmatch(cell) and (parse_percent(cell) or 0.0) <= 1.0):
                 raise ParameterError(f"{path}: model {row['Model']!r} has {col} {row[col]!r}; "
-                                     "expected a percent, n/a or failed")
+                                     "expected a percent of at most 100%, n/a or failed")
     return rows
 
 
@@ -145,7 +148,7 @@ def render_accuracy_svg(rows: list[dict], path) -> None:
             )
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{height - margin + 14}" '
-            f'text-anchor="middle" font-size="11">{row.get("Model", "?")}</text>'
+            f'text-anchor="middle" font-size="11">{escape(row.get("Model", "?"))}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -5,6 +5,7 @@ import shutil
 import signal
 from dataclasses import asdict
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -772,13 +773,24 @@ class TestGridAndReport:
         assert run("report", "--results", results, "--svg", svg) == 0
         assert ">failed</text>" in svg.read_text()
 
+    def test_report_draws_any_model_name_as_text(self, tmp_path):
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        results = tmp_path / "results_40.csv"
+        results.write_text("\n".join([lines[0], lines[1].replace("M1-40", "M1<&>-13")]) + "\n",
+                           encoding="utf-8")
+        svg = tmp_path / "accuracy.svg"
+        assert run("report", "--results", results, "--svg", svg) == 0
+        labels = [e.text for e in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert "M1<&>-13" in labels
+
     def test_report_rejects_a_bad_metric_cell(self, tmp_path, capsys):
         lines = FIXTURE.read_text(encoding="utf-8").splitlines()
         results = tmp_path / "results_40.csv"
-        results.write_text("\n".join([lines[0], lines[1].replace("80.80%", "0.808")]) + "\n",
-                           encoding="utf-8")
-        capsys.readouterr()
-        assert run("report", "--results", results, "--svg", tmp_path / "a.svg") == 1
-        err = capsys.readouterr().err
-        assert f"error: {results}: model 'M1-40'" in err and "'0.808'" in err
-        assert not (tmp_path / "a.svg").exists()
+        for cell in ("0.808", "250.00%", "100.01%"):
+            results.write_text("\n".join([lines[0], lines[1].replace("80.80%", cell)]) + "\n",
+                               encoding="utf-8")
+            capsys.readouterr()
+            assert run("report", "--results", results, "--svg", tmp_path / "a.svg") == 1
+            err = capsys.readouterr().err
+            assert f"error: {results}: model 'M1-40' has Ø Accuracy '{cell}'" in err
+            assert not (tmp_path / "a.svg").exists()

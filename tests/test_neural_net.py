@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import multiprocessing
 import re
 import warnings
 from dataclasses import replace
@@ -236,8 +237,12 @@ def padded_batch(config, batch, longest, dtype, seed):
 
 
 def conv_bias(params, kind):
-    """params with conv_b as initialised (zero) or with entries of both signs."""
-    params.conv_b[...] = 0.0 if kind == "zero" else np.linspace(-0.3, 0.3, params.conv_b.size)
+    """params with conv_b as initialised (zero), with entries of both signs
+    (mixed), or with every entry <= 0: negative ones and one -0.0 (nonpositive),
+    which keeps padding skippable while its conv_pre rows are non-zero."""
+    size = params.conv_b.size
+    params.conv_b[...] = {"zero": np.zeros(size), "mixed": np.linspace(-0.3, 0.3, size),
+                          "nonpositive": -np.linspace(0.3, 0.0, size)}[kind]
     return params
 
 
@@ -277,7 +282,7 @@ class TestMatchesPerGateReference:
     # reference uses, so the bits must match, sign of zero included.
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    @pytest.mark.parametrize("bias", ["zero", "mixed", "nonpositive"])
     @pytest.mark.parametrize("longest", [20, 16, 13, 4, 1])
     def test_tail_padded_batch_bit_identical(self, config, dtype, bias, longest):
         params = conv_bias(random_params(config, 7), bias).astype(dtype)
@@ -287,7 +292,7 @@ class TestMatchesPerGateReference:
 
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    @pytest.mark.parametrize("bias", ["zero", "mixed", "nonpositive"])
     def test_all_zero_batch_bit_identical(self, config, dtype, bias):
         params = conv_bias(random_params(config, 7), bias).astype(dtype)
         x = np.zeros((16, config.max_frames, config.n_mfcc), dtype)
@@ -334,7 +339,7 @@ class TestMatchesPerGateReference:
     @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
                              ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("bias", ["zero", "mixed"])
+    @pytest.mark.parametrize("bias", ["zero", "mixed", "nonpositive"])
     @pytest.mark.parametrize("batch", [16, 5])
     @pytest.mark.parametrize("longest", [8, 1])
     def test_benchmark_shape_bit_identical(self, config, dtype, bias, batch, longest):
@@ -425,6 +430,41 @@ class TestLiveFrames:
         mask = np.zeros((4, 8, 3, 2), dtype=bool)
         mask[0, 4, 1, 1] = True
         assert _live_frames(mask) == 5
+
+
+class TestTracePages:
+    """A padded batch's conv_pre and ReLU output lie on anonymous pages of
+    their own; each trace must own them, in this process and in a fork."""
+
+    def padded_trace(self, seed):
+        config = replace(M8_40, max_frames=60)
+        x = padded_batch(config, 16, 5, np.float32, seed)
+        _, trace = model_forward(x, init_params(config, 0, np.float32))
+        assert trace.live < config.max_frames
+        return trace
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_a_forked_child_writes_to_its_own_copy(self):
+        trace = self.padded_trace(seed=1)
+        before = trace.conv_pre.tobytes(), trace.flat.tobytes()
+
+        def overwrite():
+            trace.conv_pre[...] = 7.0
+            trace.flat[...] = 7.0
+
+        # the context map_tasks starts its workers in
+        child = multiprocessing.get_context("fork").Process(target=overwrite)
+        child.start()
+        child.join()
+        assert child.exitcode == 0
+        assert (trace.conv_pre.tobytes(), trace.flat.tobytes()) == before
+
+    def test_consecutive_traces_share_no_memory(self):
+        first, second = self.padded_trace(seed=1), self.padded_trace(seed=2)
+        for a in (first.conv_pre, first.flat):
+            for b in (second.conv_pre, second.flat):
+                assert not np.shares_memory(a, b)
 
 
 class TestConv:
