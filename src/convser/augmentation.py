@@ -32,6 +32,9 @@ OLA_TEMPLATE = 384
 # the stretch rates time_stretch takes, and the largest shift pitch_shift takes
 STRETCH_RATES = (0.5, 2.0)
 MAX_SEMITONES = 12
+# clip peaks whose lag searches are screened in float32 (_screen); outside this
+# range a float64 product could overflow or fall below the normal numbers
+SCREENED_PEAKS = (2.0**-500, 2.0**500)
 
 
 @dataclass
@@ -98,7 +101,7 @@ def time_stretch(buffer: AudioBuffer, rate: float) -> AudioBuffer:
     lo, hi = STRETCH_RATES
     if not lo <= rate <= hi:
         raise ParameterError(f"stretch rate must be in [{lo}, {hi}], got {rate}")
-    x = buffer.samples
+    x = _finite_samples(buffer)
     if rate == 1.0:
         return AudioBuffer(x.copy(), buffer.sample_rate)
     n_in = len(x)
@@ -107,6 +110,7 @@ def time_stretch(buffer: AudioBuffer, rate: float) -> AudioBuffer:
     hop = max(1, min(OLA_HOP, grain // 4))
     template = min(OLA_TEMPLATE, grain)
     window = np.hanning(grain)
+    screen = _screen(x, template)
 
     out = np.zeros(n_out)
     weight = np.zeros(n_out)
@@ -120,12 +124,10 @@ def time_stretch(buffer: AudioBuffer, rate: float) -> AudioBuffer:
             # segment hop samples further on; pick the lag near the nominal
             # position that matches it best
             natural = min(prev_in + hop, n_in - template)
-            target = x[natural : natural + template]
             lo = max(nominal - OLA_TOLERANCE, 0)
             hi = min(nominal + OLA_TOLERANCE, n_in - grain)
-            if hi > lo and np.any(target):
-                region = x[lo : hi + template]
-                in_pos = lo + int(np.argmax(np.correlate(region, target, mode="valid")))
+            if hi > lo and x[natural : natural + template].any():
+                in_pos = lo + _best_lag(x, lo, hi, natural, template, screen)
             else:
                 in_pos = nominal
         prev_in = in_pos
@@ -136,11 +138,65 @@ def time_stretch(buffer: AudioBuffer, rate: float) -> AudioBuffer:
     return AudioBuffer(out, buffer.sample_rate)
 
 
+def _finite_samples(buffer: AudioBuffer) -> np.ndarray:
+    """buffer's samples, which must all be finite."""
+    if not np.isfinite(buffer.samples).all():
+        raise ParameterError("buffer holds non-finite (NaN or infinite) samples")
+    return buffer.samples
+
+
+def _screen(x: np.ndarray, n: int):
+    """(float32 copy of x scaled into |x| < 1 by a power of two, screen slack)
+    for the lag searches of n-sample templates in x, or None when x's peak is
+    outside SCREENED_PEAKS.
+
+    One lag's float32 screen value differs from scale**2 times its float64
+    value by at most E = n (1.01 (gamma_n(u) (1 + u)**2 + 3u + gamma_n(v)) +
+    scale**2 2**-1074), u = 2**-24, v = 2**-53, for any summation order, where
+    gamma_n(u) = nu / (1 - nu) bounds the relative error of an n-term sum of
+    products (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 3.1). With every scaled sample below 1 in magnitude, the float32 sum
+    errs by at most n gamma_n(u) (1 + u)**2, rounding the operands to float32
+    (underflow included) by 3un, and the float64 sum, scaled, by n gamma_n(v);
+    the last term is the underflow of the float64 products, and the 1% covers
+    the rest. The lags with the largest float64 value therefore all lie
+    within 2E of the screen's maximum."""
+    peak = float(np.max(np.abs(x), initial=0.0))
+    if not SCREENED_PEAKS[0] < peak < SCREENED_PEAKS[1]:
+        return None
+    scale = 2.0 ** -math.frexp(peak)[1]
+    u, v = 2.0**-24, 2.0**-53
+    gamma_u, gamma_v = n * u / (1 - n * u), n * v / (1 - n * v)
+    error = n * (1.01 * (gamma_u * (1 + u) ** 2 + 3 * u + gamma_v) + scale * scale * 2.0**-1074)
+    return (x * scale).astype(np.float32), 2 * error
+
+
+def _best_lag(x, lo, hi, natural, template, screen) -> int:
+    """np.argmax(np.correlate(x[lo : hi + template], target, mode="valid")) for
+    the target x[natural : natural + template]: the first lag of the largest
+    float64 correlation. With a screen (_screen), one float32 correlation over
+    all lags keeps the lags within its slack of the maximum, and np.dot, the
+    same per-lag ddot np.correlate runs, gives their float64 values; max
+    keeps the first of equal values, as np.argmax does."""
+    region, target = x[lo : hi + template], x[natural : natural + template]
+    if screen is None:
+        return int(np.argmax(np.correlate(region, target, mode="valid")))
+    x32, slack = screen
+    values = np.correlate(x32[lo : hi + template], x32[natural : natural + template],
+                          mode="valid")
+    top = np.float64(values[values.argmax()])
+    candidates = (values >= top - slack).nonzero()[0].tolist()
+    if len(candidates) == 1:  # the lag of the largest float64 value is always a candidate
+        return candidates[0]
+    return max(candidates, key=lambda j: np.dot(region[j : j + template], target))
+
+
 def pitch_shift(buffer: AudioBuffer, semitones: float) -> AudioBuffer:
     """Scale every frequency by 2^(semitones/12) at unchanged duration:
     stretch the signal to factor x length, then linearly resample back."""
     if not abs(semitones) <= MAX_SEMITONES:
         raise ParameterError(f"|semitones| must be <= {MAX_SEMITONES}, got {semitones}")
+    _finite_samples(buffer)
     if semitones == 0.0:
         return AudioBuffer(buffer.samples.copy(), buffer.sample_rate)
     factor = 2.0 ** (semitones / 12.0)
@@ -156,7 +212,7 @@ def add_noise(buffer: AudioBuffer, snr_db: float, seed: int) -> AudioBuffer:
 
     Deterministic for a given seed; snr_db = inf is the no-noise sentinel.
     """
-    x = buffer.samples
+    x = _finite_samples(buffer)
     if snr_db == math.inf:
         return AudioBuffer(x.copy(), buffer.sample_rate)
     signal_power = float(np.mean(x * x))

@@ -7,12 +7,14 @@ which is the augmentation_plan.json augment writes. What no run varies is a
 constant: the feature framing (dsp_features.FRAME_LEN, HOP, N_MELS) and the
 synthetic class signatures and jitter (synth_data), so a feature config is
 its width and frame count, and a synthetic corpus is separable or --null.
-synth, augment, train and grid take --seed and --jobs; all randomness flows
-from --seed, and full runs are reproducible bit for bit. Feature stores,
-model files and run reports record the feature config that produced them; a
-re-run of extract reuses the stored rows of every record whose audio and
-feature config are unchanged. Log verbosity comes from CONVSER_LOG
-(error|info|debug).
+synth, augment, train and grid take --seed and --jobs, and extract takes
+--jobs; all randomness flows from --seed, and full runs are reproducible bit
+for bit. Every task of a --jobs command runs on one BLAS thread, in a worker
+or in this process, so its bytes do not depend on --jobs or on the core
+count. Feature stores, model files and run reports record the feature
+config that produced them; a re-run of extract reuses the stored rows of
+every record whose audio and feature config are unchanged. Log verbosity
+comes from CONVSER_LOG (error|info|debug).
 """
 
 from __future__ import annotations
@@ -173,19 +175,18 @@ def cmd_extract(args) -> int:
             args.out, dsp_features.FeatureConfig(width, max_frames), hashes)
         stale[width] = set(hashes) - fresh[width]
     # each record is read and transformed once for all the widths it lacks
+    records = [(rec, [w for w in widths if rec.id in stale[w]]) for rec in manifest.records]
+    records = [(rec, lacking) for rec, lacking in records if lacking]
+    tasks = [(manifest.resolve(rec), lacking, max_frames) for rec, lacking in records]
+    dsp_features._dsp_constants()  # built before the pool forks, so its workers inherit it
+    results = train_eval.map_tasks(_extract_record, tasks, args.jobs or _usable_cores())
     extracted = dict.fromkeys(widths, 0)
-    for rec in manifest.records:
-        lacking = [w for w in widths if rec.id in stale[w]]
-        if not lacking:
+    for (rec, lacking), rows in zip(records, results):
+        if isinstance(rows, str):
+            failures.append((rec.id, rows))
             continue
-        try:
-            matrices = dsp_features.extract_widths(load_wav(manifest.resolve(rec)), lacking,
-                                                   max_frames)
-        except Exception as exc:  # a failed record is reported, not silently skipped
-            failures.append((rec.id, f"{type(exc).__name__}: {exc}"))
-            continue
-        for width, fm in zip(lacking, matrices):
-            stores[width].rows[rec.id] = fm.values[: fm.n_valid_frames].copy()
+        for width, valid in zip(lacking, rows):
+            stores[width].rows[rec.id] = valid
             stores[width].hashes[rec.id] = hashes[rec.id]
             extracted[width] += 1
     for width in widths:
@@ -199,6 +200,17 @@ def cmd_extract(args) -> int:
             print(f"  {sample_id}: {message}", file=sys.stderr)
         return 1
     return 0
+
+
+def _extract_record(task):
+    """The valid rows of one record at each width it lacks, or its failure
+    message: a failed record is reported, not silently skipped."""
+    path, widths, max_frames = task
+    try:
+        matrices = dsp_features.extract_widths(load_wav(path), widths, max_frames)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [fm.values[: fm.n_valid_frames].copy() for fm in matrices]
 
 
 def cmd_train(args) -> int:
@@ -315,13 +327,15 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="base random seed")
-    seeded.add_argument("--jobs", type=int, default=None,
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--jobs", type=int, default=None,
                         help="worker processes (default: one per usable core for synth, "
-                             "augment and grid; for train, the fewest workers, at least one "
-                             "per usable core, that split the shuffles evenly, e.g. 3 for 3 "
-                             "shuffles on 2 cores); every worker runs one BLAS thread")
+                             "augment, extract and grid; for train, the fewest workers, at "
+                             "least one per usable core, that split the shuffles evenly, e.g. "
+                             "3 for 3 shuffles on 2 cores); every task runs on one BLAS "
+                             "thread, so every value writes the same bytes")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[pooled])
+    seeded.add_argument("--seed", type=int, default=None, help="base random seed")
 
     parser = argparse.ArgumentParser(prog="convser", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("extract", help="extract MFCC features")
+    p = sub.add_parser("extract", parents=[pooled], help="extract MFCC features")
     p.add_argument("--manifest", required=True)
     p.add_argument("--mfcc", choices=("13", "40", "both"), default="both",
                    help="feature width: 13 (c1..c12 + frame log energy), 40 (c0..c39) or both")

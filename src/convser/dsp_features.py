@@ -185,11 +185,14 @@ def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.nda
 @functools.cache
 def _dsp_constants():
     """The Hamming window, Mel filterbank and N_MELS x N_MELS DCT-II basis,
-    built once and shared read-only."""
+    built once and shared read-only. Building them also runs one FRAME_LEN
+    FFT, which leaves numpy's FFT plan cached: a pool forked after this call
+    inherits both and does not rebuild them in every worker."""
     constants = (hamming_window(FRAME_LEN), mel_filterbank(FRAME_LEN, N_MELS),
                  dct_matrix(N_MELS))
     for array in constants:
         array.flags.writeable = False
+    np.fft.rfft(constants[0])
     return constants
 
 

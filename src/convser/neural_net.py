@@ -480,6 +480,9 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
     with respect to every parameter (reverse mode through dense, LSTM over
     all timesteps, flatten, ReLU mask, and the convolution)."""
     b, t, m = trace.x.shape
+    if b == 0:
+        raise ParameterError("cannot take gradients over an empty batch (0 clips): "
+                             "its mean loss is undefined")
     u = params.config.lstm_units
     y = np.atleast_1d(np.asarray(y, dtype=trace.prob.dtype))
     if y.shape != trace.prob.shape:

@@ -8,6 +8,7 @@ fresh model, and the reported metrics are the arithmetic mean over folds.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import logging
@@ -507,7 +508,8 @@ OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threa
 @functools.cache
 def _openblas_setter():
     """(library, thread-count setter) of the OpenBLAS numpy has loaded into
-    this process, or None when none is found (another BLAS, or no /proc)."""
+    this process, whose getter is the setter's name with get for set, or None
+    when none is found (another BLAS, or no /proc)."""
     try:
         maps = Path("/proc/self/maps").read_text().splitlines()
     except OSError:
@@ -518,10 +520,32 @@ def _openblas_setter():
         lib = ctypes.CDLL(path)  # already loaded: this adds a reference, not a copy
         for name in OPENBLAS_SETTERS:
             setter = getattr(lib, name, None)
-            if setter is not None:
+            getter = getattr(lib, name.replace("set_num_threads", "get_num_threads"), None)
+            if setter is not None and getter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
                 return lib, setter
     return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the with-block on one OpenBLAS thread, then restore this process's
+    thread count."""
+    found = _openblas_setter()
+    if found is None:
+        yield
+        return
+    lib, setter = found
+    before = getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+    if before == 1:  # the setter would restart the pool a worker shut down
+        yield
+        return
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def fold_workers(n_folds: int, cores: int) -> int:
@@ -574,14 +598,17 @@ def map_tasks(fn, tasks, jobs: int) -> list:
     results cross the pipes. Elsewhere fn and tasks must be picklable and are
     sent once per worker, not once per task.
 
-    Every worker runs OpenBLAS on one thread; the calling process is never
-    pinned. Training a grid shape gives the same bits on any thread count
-    (the gradient sums over all frames keep one thread's K-blocks, see
-    neural_net._padded_product), and the corpus commands make no BLAS call
-    large enough to thread."""
+    Every task runs on one OpenBLAS thread wherever it runs: each worker
+    pins itself when it starts, and in this process the loop runs pinned and
+    the caller's count is restored after it. A BLAS product's last bits can
+    depend on its thread count (extract's Mel product, the LSTM input
+    projection of a custom shape), so every jobs value gives the bits of one
+    thread. The pool takes the tasks in about four chunks per worker, which
+    spares most of the pipe round trips of one task at a time."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [fn(task) for task in tasks]
+        with _one_blas_thread():
+            return [fn(task) for task in tasks]
     if _openblas_setter() is None:
         log.warning("no OpenBLAS thread-count function found; %d pool workers run BLAS "
                     "with its default thread count, so training workers may "
@@ -592,7 +619,8 @@ def map_tasks(fn, tasks, jobs: int) -> list:
         with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context(fork),
                                  initializer=_start_worker,
                                  initargs=(fn, tasks)) as pool:
-            return list(pool.map(_run_task, range(len(tasks))))
+            return list(pool.map(_run_task, range(len(tasks)),
+                                 chunksize=-(-len(tasks) // (4 * workers))))
     except BrokenProcessPool as exc:
         name = getattr(fn, "__name__", repr(fn))
         raise ConvserError(f"{name}: a worker process ended abruptly "

@@ -7,6 +7,10 @@ import pytest
 
 from convser.audio_io import AudioBuffer, load_manifest, load_wav, save_manifest
 from convser.augmentation import (
+    OLA_GRAIN,
+    OLA_HOP,
+    OLA_TEMPLATE,
+    OLA_TOLERANCE,
     AugmentationPlan,
     add_noise,
     augment_dataset,
@@ -50,6 +54,100 @@ class TestTimeStretch:
         for rate in (0.4, 2.5):
             with pytest.raises(ParameterError):
                 time_stretch(tone, rate)
+
+
+def single_stage_time_stretch(x, rate):
+    """time_stretch's samples with the lag search as one float64 np.correlate
+    over all lags, the search the screened one must reproduce."""
+    n_in = len(x)
+    n_out = int(round(n_in / rate))
+    grain = min(OLA_GRAIN, n_in, max(n_out, 2))
+    hop = max(1, min(OLA_HOP, grain // 4))
+    template = min(OLA_TEMPLATE, grain)
+    window = np.hanning(grain)
+    out = np.zeros(n_out)
+    weight = np.zeros(n_out)
+    prev_in = 0
+    for index, out_pos in enumerate(range(0, n_out, hop)):
+        nominal = min(max(int(round(out_pos * rate)), 0), n_in - grain)
+        in_pos = nominal
+        if index > 0:
+            natural = min(prev_in + hop, n_in - template)
+            target = x[natural : natural + template]
+            lo = max(nominal - OLA_TOLERANCE, 0)
+            hi = min(nominal + OLA_TOLERANCE, n_in - grain)
+            if hi > lo and np.any(target):
+                region = x[lo : hi + template]
+                in_pos = lo + int(np.argmax(np.correlate(region, target, mode="valid")))
+        prev_in = in_pos
+        take = min(grain, n_out - out_pos)
+        out[out_pos : out_pos + take] += x[in_pos : in_pos + take] * window[:take]
+        weight[out_pos : out_pos + take] += window[:take]
+    out /= np.maximum(weight, 1e-8)
+    return out
+
+
+# every stretch rate the default plan runs (pitch_shift's are 2**(-+2/12)), and the bounds
+SEARCH_RATES = [0.9, 1.1, 2.0 ** (2 / 12), 2.0 ** (-2 / 12), 1.05, 0.5, 2.0]
+
+
+def search_inputs():
+    n = np.arange(44100)
+    sine = np.sin(2 * np.pi * 441 * n / 44100)
+    rng = np.random.default_rng(3)
+    gaps = np.where((n // 4000) % 2 == 0, np.sin(n * 0.03), 0.0)
+    return {
+        "sine_integer_period": sine,
+        # periods 100 samples apart tie to about 1e-7 in float64, below float32's resolution
+        "sine_integer_period_near_ties": sine + 1e-7 * rng.standard_normal(44100),
+        "sine_non_integer_period": np.sin(2 * np.pi * n / 98.7),
+        "white_noise": rng.standard_normal(44100),
+        "silence": np.zeros(44100),
+        "silent_stretches": gaps,
+        "scaled_1e-300": 1e-300 * gaps,
+        "scaled_1e300": 1e300 * gaps,
+        "subnormal": 5e-324 * np.round(1000 * sine),
+        "subnormal_among_normal": np.where(n % 3 == 0, 1e-310, 0.1 * sine),
+        "shorter_than_a_grain": rng.standard_normal(OLA_GRAIN - 500),
+        "shorter_than_a_template": np.sin(np.arange(300) * 0.2),
+    }
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("rate", SEARCH_RATES)
+    @pytest.mark.parametrize("name", sorted(search_inputs()))
+    def test_equals_the_single_stage_search(self, name, rate):
+        x = search_inputs()[name]
+        out = time_stretch(AudioBuffer(x, 44100), rate).samples
+        assert out.tobytes() == single_stage_time_stretch(x, rate).tobytes()
+
+    @pytest.mark.parametrize("rate", SEARCH_RATES)
+    def test_synth_corpus_equals_the_single_stage_search(self, tiny_corpus, rate):
+        for rec in tiny_corpus.records:
+            buffer = load_wav(tiny_corpus.resolve(rec))
+            assert (time_stretch(buffer, rate).samples.tobytes()
+                    == single_stage_time_stretch(buffer.samples, rate).tobytes()), rec.id
+
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+AUGMENTATIONS = {
+    "time_stretch": lambda buffer: time_stretch(buffer, 0.9),
+    "time_stretch_1.0": lambda buffer: time_stretch(buffer, 1.0),
+    "pitch_shift": lambda buffer: pitch_shift(buffer, 2.0),
+    "pitch_shift_0": lambda buffer: pitch_shift(buffer, 0.0),
+    "add_noise": lambda buffer: add_noise(buffer, 10.0, seed=0),
+    "add_noise_inf": lambda buffer: add_noise(buffer, math.inf, seed=0),
+}
+
+
+@pytest.mark.parametrize("value", sorted(NON_FINITE))
+@pytest.mark.parametrize("augmentation", sorted(AUGMENTATIONS))
+def test_non_finite_samples_rejected(augmentation, value):
+    tone = make_tone(440, duration_s=1.0)
+    tone.samples[1000] = NON_FINITE[value]
+    with pytest.raises(ParameterError,
+                       match=re.escape("buffer holds non-finite (NaN or infinite) samples")):
+        AUGMENTATIONS[augmentation](tone)
 
 
 class TestPitchShift:

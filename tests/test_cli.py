@@ -124,6 +124,20 @@ class TestJobs:
         assert sorted(runs[0][0]) == [f"M1-13_fold{k}.model.json" for k in range(3)]
         assert runs[0] == runs[1] == runs[2] == runs[3]
 
+    def test_custom_shape_models_do_not_depend_on_jobs(self, pipeline, tmp_path):
+        """15 filters at width 40 sum 600 inputs per frame, a product whose
+        last bits depend on the BLAS thread count."""
+        trees = []
+        for jobs in (1, 3):
+            assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                       "--features", pipeline["features"], "--mfcc", "40", "--filters", 15,
+                       "--epochs", 2, "--seed", 1, "--jobs", jobs,
+                       "--out", tmp_path / str(jobs)) == 0
+            trees.append({name: data for name, data in tree_bytes(tmp_path / str(jobs)).items()
+                          if name.endswith(".model.json")})
+        assert sorted(trees[0]) == [f"custom-15-20-40_fold{k}.model.json" for k in range(3)]
+        assert trees[0] == trees[1]
+
     @pytest.mark.parametrize("jobs", [(), ("--jobs", 1), ("--jobs", 2)])
     def test_failed_fold_exits_1(self, pipeline, tmp_path, capfd, jobs):
         corpus = tmp_path / "ones"
@@ -176,9 +190,10 @@ REQUIRED = {
 
 
 @pytest.mark.parametrize("command, option", [
-    *[(command, option) for command in ("extract", "evaluate", "predict", "report")
+    *[(command, option) for command in ("evaluate", "predict", "report")
       for option in ("--seed", "--jobs", "--config")],
-    *[(command, "--config") for command in ("synth", "augment", "train", "grid")],
+    *[(command, "--config") for command in ("synth", "augment", "extract", "train", "grid")],
+    ("extract", "--seed"),
     # the feature framing is constant, and a trimmed plan is a --plan file
     *[("extract", option) for option in ("--hop", "--frame-len", "--n-mels")],
     ("augment", "--variants"),
@@ -190,8 +205,11 @@ def test_options_a_command_does_not_read_are_usage_errors(command, option, capsy
     assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option, dest", [("--seed", "seed"), ("--jobs", "jobs")])
-@pytest.mark.parametrize("command", ["synth", "augment", "train", "grid"])
+@pytest.mark.parametrize("command, option, dest", [
+    *[(command, option, dest) for command in ("synth", "augment", "train", "grid")
+      for option, dest in (("--seed", "seed"), ("--jobs", "jobs"))],
+    ("extract", "--jobs", "jobs"),
+])
 def test_commands_that_read_seed_and_jobs_take_them(command, option, dest):
     args = cli.build_parser().parse_args([command, *REQUIRED[command], option, "3"])
     assert getattr(args, dest) == 3
@@ -368,15 +386,33 @@ class TestExtract:
         assert sorted(pipeline["features"].iterdir()) == stores
         assert [(p.read_bytes(), p.stat().st_mtime_ns) for p in stores] == before
 
-    def test_extract_starts_no_pool(self, pipeline, tmp_path, monkeypatch):
-        def no_pool(*_):
-            raise AssertionError("extract started a process pool")
+    def test_store_bytes_do_not_depend_on_jobs_or_blas_threads(self, pipeline, tmp_path,
+                                                                 monkeypatch):
+        manifest = pipeline["augmented"] / "manifest.jsonl"
 
-        monkeypatch.setattr(train_eval, "map_tasks", no_pool)  # extract runs in one process
-        assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
-                   "--mfcc", "13", "--max-frames", 6, "--out", tmp_path / "f") == 0
-        assert ((tmp_path / "f" / "mfcc13.npz").read_bytes()
-                == (pipeline["features"] / "mfcc13.npz").read_bytes())
+        def extract(name, *jobs):
+            assert run("extract", "--manifest", manifest, "--max-frames", 6, *jobs,
+                       "--out", tmp_path / name) == 0
+            return tree_bytes(tmp_path / name)
+
+        pooled = extract("jobs2", "--jobs", 2)
+        assert pooled == tree_bytes(pipeline["features"])
+
+        def no_pool(*_, **__):
+            raise AssertionError("extract --jobs 1 started a process pool")
+
+        monkeypatch.setattr(train_eval, "ProcessPoolExecutor", no_pool)
+        assert extract("jobs1", "--jobs", 1) == pooled
+        found = train_eval._openblas_setter()
+        if found is None:
+            pytest.skip("no OpenBLAS thread-count function in this process")
+        lib, setter = found
+        before = getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+        setter(2)
+        try:
+            assert extract("jobs1_two_threads", "--jobs", 1) == pooled
+        finally:
+            setter(before)
 
     def test_both_widths_equal_separate_runs(self, pipeline, tmp_path, capsys):
         manifest = pipeline["augmented"] / "manifest.jsonl"
@@ -395,14 +431,20 @@ class TestExtract:
         assert tree_bytes(tmp_path / "13") == tree_bytes(pipeline["features"])
 
     def test_cold_extract_reads_each_clip_once(self, pipeline, tmp_path, monkeypatch):
-        reads = []
+        reads = tmp_path / "reads.txt"  # appended to by every worker
         real_load_wav = cli.load_wav
-        monkeypatch.setattr(cli, "load_wav",
-                            lambda path: reads.append(Path(path).name) or real_load_wav(path))
+
+        def counted_load_wav(path):
+            with open(reads, "a") as log:
+                log.write(f"{Path(path).name}\n")
+            return real_load_wav(path)
+
+        monkeypatch.setattr(cli, "load_wav", counted_load_wav)
         manifest = pipeline["augmented"] / "manifest.jsonl"
         assert run("extract", "--manifest", manifest, "--mfcc", "both", "--max-frames", 6,
                    "--out", tmp_path / "f") == 0
-        assert sorted(reads) == sorted(rec.path for rec in load_manifest(manifest).records)
+        assert sorted(reads.read_text().splitlines()) == sorted(
+            rec.path for rec in load_manifest(manifest).records)
 
     def test_corrupt_wav_reported(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "c"

@@ -928,6 +928,13 @@ class TestBackward:
         for name in params.TENSOR_NAMES:
             assert getattr(grads, name).shape == getattr(params, name).shape
 
+    def test_empty_batch_rejected(self):
+        config = ModelConfig(filters=32, kernel_size=20, lstm_units=40, n_mfcc=40, max_frames=60)
+        params = init_params(config, seed=0, dtype=np.float32)
+        _, trace = model_forward(np.zeros((0, 60, 40), dtype=np.float32), params)
+        with pytest.raises(ParameterError, match="empty batch"):
+            model_backward(trace, np.zeros(0), params)
+
 
 @pytest.fixture
 def blas_threads():

@@ -492,6 +492,28 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert blas_thread_count() == before
 
 
+def fail_on_three(task):
+    if task == 3:
+        raise ValueError("task 3")
+    return blas_thread_count()
+
+
+@pytest.mark.skipif(train_eval._openblas_setter() is None,
+                    reason="no OpenBLAS thread-count function in this process")
+def test_in_process_tasks_run_one_blas_thread_and_restore_the_count():
+    _, setter = train_eval._openblas_setter()
+    before = blas_thread_count()
+    setter(2)
+    try:
+        assert train_eval.map_tasks(blas_thread_count, [0, 1], 1) == [1, 1]
+        assert blas_thread_count() == 2
+        with pytest.raises(ValueError, match="task 3"):
+            train_eval.map_tasks(fail_on_three, [2, 3], 1)
+        assert blas_thread_count() == 2
+    finally:
+        setter(before)
+
+
 def thread_count(_=None):
     return len(os.listdir("/proc/self/task"))
 
