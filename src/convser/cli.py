@@ -20,6 +20,7 @@ comes from CONVSER_LOG (error|info|debug).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -34,7 +35,7 @@ import numpy as np
 from . import augmentation, dsp_features, report, synth_data, train_eval
 from .audio_io import load_manifest, load_wav, save_manifest
 from .exceptions import ConvserError, FormatError, ParameterError
-from .neural_net import ModelConfig, load_model, model_score, save_model
+from .neural_net import ModelConfig, load_model, model_score
 from .neural_net import model_forward  # noqa: F401  (perfbench's tracer self-test looks it up here)
 from .train_eval import GRID_WIDTHS, TrainConfig
 
@@ -113,11 +114,11 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _load_feature_store(features_root, n_mfcc, manifest):
+def _load_feature_store(features_root, n_mfcc, manifest, dtype):
     """The stored FeatureConfig and the manifest's (records, frames, n_mfcc)
-    feature array, in manifest order."""
+    feature array in dtype, the model's, in manifest order."""
     store = dsp_features.load_features(features_root, n_mfcc)
-    return store.config, store.stack(rec.id for rec in manifest.records)
+    return store.config, store.stack((rec.id for rec in manifest.records), dtype)
 
 
 def _model_feature_config(path, extra) -> dsp_features.FeatureConfig:
@@ -217,31 +218,39 @@ def cmd_train(args) -> int:
     train_config = _settings(TrainConfig, args, TRAIN_FLAGS)
     manifest = load_manifest(args.manifest)
     width = int(args.mfcc)
-    feature_config, features = _load_feature_store(args.features, width, manifest)
+    feature_config, features = _load_feature_store(args.features, width, manifest,
+                                                   train_config.dtype)
     model_config = _settings(ModelConfig, args, MODEL_FLAGS, n_mfcc=width,
                              max_frames=feature_config.max_frames)
     if train_eval.grid_model_id(model_config).startswith("custom-"):
         log.info("model config %s is outside the standard 16-cell grid", model_config)
 
     jobs = args.jobs or train_eval.fold_workers(train_config.n_shuffles, _usable_cores())
-    result = train_eval.cross_validate(model_config, train_config, features, manifest, jobs=jobs)
+    feature_doc = {"feature_config": asdict(feature_config)}
     out_dir = Path(args.out)
+    created = not out_dir.exists()
     out_dir.mkdir(parents=True, exist_ok=True)
-    _save_run(result, out_dir, feature_config)
+    try:
+        # each fold writes its own model file into out_dir
+        result = train_eval.cross_validate(model_config, train_config, features, manifest,
+                                           jobs=jobs, save_dir=out_dir, model_extra=feature_doc)
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
+        raise
+    _save_run(result, out_dir, feature_doc)
     print(f"{result.model_id}: {report.format_metrics(result.averaged)}")
     return 0
 
 
-def _save_run(result, out_dir, feature_config) -> None:
-    """Persist per-fold models plus the run report JSON."""
-    feature_doc = {"feature_config": asdict(feature_config)}
-    run_doc = result.to_dict() | feature_doc
-    (out_dir / f"{result.model_id}_run.json").write_text(
-        json.dumps(run_doc, sort_keys=True) + "\n"
-    )
-    for k, fold in enumerate(result.folds):
-        extra = {"fold_seed": fold.seed, "model_id": result.model_id} | feature_doc
-        save_model(fold.params, out_dir / f"{result.model_id}_fold{k}.model.json", extra=extra)
+def _save_run(result, out_dir, feature_doc) -> None:
+    """Write the run report JSON once the fold models are in place, through a
+    temporary file: a <model id>_run.json marks a complete run."""
+    path = out_dir / f"{result.model_id}_run.json"
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(result.to_dict() | feature_doc, sort_keys=True) + "\n")
+    os.replace(tmp, path)
 
 
 def cmd_grid(args) -> int:
@@ -249,7 +258,8 @@ def cmd_grid(args) -> int:
     manifest = load_manifest(args.manifest)
     configs, features = {}, {}
     for width in GRID_WIDTHS:
-        configs[width], features[width] = _load_feature_store(args.features, width, manifest)
+        configs[width], features[width] = _load_feature_store(args.features, width, manifest,
+                                                              train_config.dtype)
     started = time.perf_counter()
     results = train_eval.run_grid(train_config, features, manifest,
                                   jobs=args.jobs or _usable_cores())
@@ -286,7 +296,8 @@ def cmd_evaluate(args) -> int:
     params, extra = load_model(args.model)
     model_config = _model_feature_config(args.model, extra)
     manifest = load_manifest(args.manifest)
-    store_config, x = _load_feature_store(args.features, params.config.n_mfcc, manifest)
+    store_config, x = _load_feature_store(args.features, params.config.n_mfcc, manifest,
+                                          params.conv_w.dtype)
     if store_config != model_config:
         differ = [f"{name}: store {value!r}, model {getattr(model_config, name)!r}"
                   for name, value in asdict(store_config).items()
@@ -296,8 +307,7 @@ def cmd_evaluate(args) -> int:
             f"not match model {args.model} ({'; '.join(differ)}); re-run `convser extract` "
             f"with the model's feature settings")
     labels = [rec.label for rec in manifest.records]
-    _, _, preds = train_eval.evaluate(params, x.astype(params.conv_w.dtype), np.array(labels),
-                                      TrainConfig().batch_size)
+    _, _, preds = train_eval.evaluate(params, x, np.array(labels), TrainConfig().batch_size)
     counts = train_eval.confusion(preds.tolist(), labels)
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
     print(report.format_metrics(train_eval.metrics(counts)))

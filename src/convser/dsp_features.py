@@ -251,11 +251,13 @@ class FeatureStore:
     rows: dict = field(default_factory=dict)
     hashes: dict = field(default_factory=dict)
 
-    def stack(self, ids) -> np.ndarray:
-        """(len(ids), config.max_frames, n_mfcc) float64 rows of ids, in order,
-        zero-padded past each id's valid frames."""
+    def stack(self, ids, dtype=np.float64) -> np.ndarray:
+        """(len(ids), config.max_frames, n_mfcc) rows of ids in dtype, in
+        order, zero-padded past each id's valid frames. Each stored float64
+        row is rounded into dtype as astype rounds it, with no float64 copy
+        of the whole stack."""
         ids = list(ids)
-        out = np.zeros((len(ids), self.config.max_frames, self.config.n_mfcc))
+        out = np.zeros((len(ids), self.config.max_frames, self.config.n_mfcc), dtype=dtype)
         for k, sample_id in enumerate(ids):
             if sample_id not in self.rows:
                 raise ParameterError(f"no {self.config.n_mfcc}-MFCC features for {sample_id!r}; "

@@ -32,6 +32,7 @@ from .neural_net import (
     model_backward,
     model_forward,
     model_score,
+    save_model,
 )
 from .seeding import derive_seed, rng_for
 
@@ -277,7 +278,7 @@ def average_metrics(reports) -> tuple[MetricsReport, dict]:
 
 @dataclass
 class TrainResult:
-    params: ModelParams
+    params: ModelParams | None  # None once the fold has saved its model
     history: dict
     metrics: MetricsReport
     counts: ConfusionCounts
@@ -389,8 +390,9 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
     row = {rec.id: k for k, rec in enumerate(manifest.records)}
     labels = np.array([rec.label for rec in manifest.records], dtype=dtype)
     train_rows, val_rows = [row[i] for i in train_ids], [row[i] for i in val_ids]
-    x_train, y_train = features[train_rows].astype(dtype), labels[train_rows]
-    x_val, y_val = features[val_rows].astype(dtype), labels[val_rows]
+    # the row selection is a copy already; features stacked in dtype need no second one
+    x_train, y_train = features[train_rows].astype(dtype, copy=False), labels[train_rows]
+    x_val, y_val = features[val_rows].astype(dtype, copy=False), labels[val_rows]
 
     params = init_params(model_config, derive_seed(seed, "init"), dtype)
     # views into params: adam_step updates them in place
@@ -478,15 +480,37 @@ def grid_model_id(model_config: ModelConfig) -> str:
 
 
 def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
-                   features: np.ndarray, manifest: DatasetManifest, jobs: int = 1) -> RunReport:
+                   features: np.ndarray, manifest: DatasetManifest, jobs: int = 1,
+                   save_dir=None, model_extra: dict | None = None) -> RunReport:
     """Three (or n_shuffles) independent reshuffle-and-train runs with seeds
     seed+0 .. seed+n-1; metrics averaged arithmetically across folds. jobs > 1
-    trains the folds in worker processes; the results do not depend on jobs."""
+    trains the folds in worker processes; the results do not depend on jobs.
+
+    With save_dir, an existing directory, fold k saves its model in the
+    process that trained it, as save_dir/<model id>_fold<k>.model.json with
+    model_extra, its fold seed and the model id as metadata, and its
+    TrainResult comes back without params. Each fold writes a .tmp file; the
+    files are renamed into place once every fold has succeeded, and removed
+    when any fold fails."""
     start_time = time.perf_counter()
     fold_seeds = [train_config.seed + k for k in range(train_config.n_shuffles)]
-    tasks = [(model_config, replace(train_config, seed=fold_seed), features, manifest)
-             for fold_seed in fold_seeds]
-    folds = map_tasks(_run_fold, tasks, jobs)
+    model_id = grid_model_id(model_config)
+    saves = [None] * len(fold_seeds)
+    if save_dir is not None:
+        saves = [(Path(save_dir) / f"{model_id}_fold{k}.model.json.tmp",
+                  {"fold_seed": fold_seed, "model_id": model_id} | (model_extra or {}))
+                 for k, fold_seed in enumerate(fold_seeds)]
+    tasks = [(model_config, replace(train_config, seed=fold_seed), features, manifest, save)
+             for fold_seed, save in zip(fold_seeds, saves)]
+    tmp_paths = [save[0] for save in saves if save is not None]
+    try:
+        folds = map_tasks(_run_fold, tasks, jobs)
+    except BaseException:
+        for tmp in tmp_paths:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp in tmp_paths:
+        tmp.replace(tmp.with_suffix(""))
     return RunReport(
         model_config=model_config,
         train_config=train_config,
@@ -496,7 +520,16 @@ def cross_validate(model_config: ModelConfig, train_config: TrainConfig,
 
 
 def _run_fold(task):
-    return train_model(*task)
+    """train_model on the task's first four items. The last is None, or the
+    (path, extra) the fold saves its model to; the result then drops its
+    params, so no tensor crosses back to the caller."""
+    *args, save = task
+    result = train_model(*args)
+    if save is not None:
+        path, extra = save
+        save_model(result.params, path, extra=extra)
+        result.params = None
+    return result
 
 
 # OpenBLAS's thread-count setter under the names its builds export: the

@@ -14,6 +14,7 @@ from convser import augmentation, cli, neural_net, train_eval
 from convser.audio_io import load_manifest, load_wav
 from convser.cli import main
 from convser.dsp_features import FeatureConfig, extract_features, load_features
+from convser.exceptions import ConvserError
 
 from conftest import wav_bytes
 
@@ -152,6 +153,47 @@ class TestJobs:
         err = capfd.readouterr().err  # file-descriptor level: the workers' output too
         assert "error: training needs both labels, manifest has 24x1 / 0x0" in err
         assert "Traceback" not in err
+        # the run created --out, so it removes it
+        assert not (tmp_path / "run").exists()
+        # an --out that existed keeps its other files, and gets no model or temporary file
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("kept\n")
+        assert run("train", "--manifest", corpus / "manifest.jsonl",
+                   "--features", pipeline["features"], "--mfcc", "13",
+                   "--filters", 16, "--kernel", 5, "--lstm", 20, "--epochs", 1,
+                   *jobs, "--out", kept) == 1
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the failing stand-in fold reaches the workers by fork")
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_fold_failing_after_others_saved_leaves_no_model(self, pipeline, tmp_path, capfd,
+                                                            monkeypatch, jobs):
+        """Folds 11 and 12 write their models before fold 13 fails: the run
+        removes their files and the --out it created."""
+        train_model = train_eval.train_model
+
+        def last_fold_fails(model_config, train_config, features, manifest):
+            if train_config.seed == 13:
+                raise ConvserError("fold 13 failed")
+            return train_model(model_config, train_config, features, manifest)
+
+        monkeypatch.setattr(train_eval, "train_model", last_fold_fails)
+        saved = []
+        save_model = train_eval.save_model
+        monkeypatch.setattr(train_eval, "save_model",
+                            lambda params, path, extra: saved.append(Path(path).name)
+                            or save_model(params, path, extra=extra))
+        out = tmp_path / "run"
+        assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", pipeline["features"], "--mfcc", "13",
+                   "--filters", 16, "--kernel", 5, "--lstm", 20, "--epochs", 1,
+                   "--seed", 11, "--jobs", jobs, "--out", out) == 1
+        assert "error: fold 13 failed" in capfd.readouterr().err
+        if jobs == 1:  # pool workers' calls are not seen here
+            assert saved == ["M1-13_fold0.model.json.tmp", "M1-13_fold1.model.json.tmp"]
+        assert not out.exists()
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the stand-in record reaches the workers by fork")

@@ -405,3 +405,27 @@ class TestFeatureStore:
         self.stored(tmp_path, FeatureConfig(n_mfcc=40, max_frames=6))
         with pytest.raises(ParameterError, match="'zz'.*convser extract --mfcc 40"):
             load_features(tmp_path, 40).stack(["a", "zz"])
+
+    def test_stack_rounds_into_dtype_as_astype_does(self):
+        rng = np.random.default_rng(3)
+        config = FeatureConfig(n_mfcc=13, max_frames=6)
+        store = FeatureStore(config, rows={"a": rng.standard_normal((2, 13)),
+                                           "b": rng.standard_normal((6, 13)),
+                                           "c": rng.standard_normal((4, 13))})
+        ids = ["c", "a", "b"]
+        wide = store.stack(ids)
+        narrow = store.stack(ids, np.float32)
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        assert narrow.tobytes() == wide.astype(np.float32).tobytes()
+        assert not np.array_equal(narrow, wide)  # the random rows do round
+        assert not narrow[1, 2:].any() and not narrow[0, 4:].any()  # zero padding
+
+    def test_missing_id_raises_the_same_error_at_either_dtype(self):
+        store = FeatureStore(FeatureConfig(n_mfcc=13, max_frames=6), rows={"a": np.ones((2, 13))})
+        messages = []
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(ParameterError) as info:
+                store.stack(["a", "zz"], dtype)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "'zz'" in messages[0] and "convser extract --mfcc 13" in messages[0]

@@ -10,7 +10,7 @@ import pytest
 
 from convser.audio_io import DatasetManifest, SampleRecord
 from convser.exceptions import ConvserError, ParameterError
-from convser.neural_net import ModelConfig, ModelParams, init_params
+from convser.neural_net import ModelConfig, ModelParams, init_params, save_model
 from convser.report import (
     CSV_COLUMNS,
     parse_percent,
@@ -446,6 +446,29 @@ class TestCrossValidate:
             assert (fa.train_ids, fa.val_ids) == (fb.train_ids, fb.val_ids)
             for name in ModelParams.TENSOR_NAMES:
                 assert np.array_equal(getattr(fa.params, name), getattr(fb.params, name))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_saved_folds_write_the_models_the_caller_would(self, tmp_path, jobs):
+        manifest = toy_manifest(24)
+        features = toy_features(manifest)
+        config = TrainConfig(epochs=2, seed=5, n_shuffles=3)
+        model_config = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5,
+                                   max_frames=6)
+        returned = cross_validate(model_config, config, features, manifest)
+        (tmp_path / "saved").mkdir()
+        saved = cross_validate(model_config, config, features, manifest, jobs=jobs,
+                               save_dir=tmp_path / "saved", model_extra={"note": "x"})
+        assert saved.histories == returned.histories and saved.averaged == returned.averaged
+        assert all(fold.params is None for fold in saved.folds)
+        model_id = grid_model_id(model_config)
+        assert sorted(p.name for p in (tmp_path / "saved").iterdir()) == [
+            f"{model_id}_fold{k}.model.json" for k in range(3)]
+        for k, fold in enumerate(returned.folds):
+            path = tmp_path / f"fold{k}.model.json"
+            save_model(fold.params, path,
+                       extra={"fold_seed": fold.seed, "model_id": model_id, "note": "x"})
+            assert (tmp_path / "saved" / f"{model_id}_fold{k}.model.json").read_bytes() == \
+                path.read_bytes()
 
     def test_failed_fold_raises_as_it_does_serially(self):
         manifest = toy_manifest(12)
