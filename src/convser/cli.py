@@ -11,16 +11,20 @@ synth, augment, train and grid take --seed and --jobs, and extract takes
 --jobs; all randomness flows from --seed, and full runs are reproducible bit
 for bit. Every task of a --jobs command runs on one BLAS thread, in a worker
 or in this process, so its bytes do not depend on --jobs or on the core
-count. Feature stores, model files and run reports record the feature
-config that produced them; a re-run of extract reuses the stored rows of
-every record whose audio and feature config are unchanged. Log verbosity
-comes from CONVSER_LOG (error|info|debug).
+count; evaluate and predict score on one BLAS thread too. Feature stores,
+model files and run reports record the feature config that produced them; a
+re-run of extract reuses the stored rows of every record whose audio and
+feature config are unchanged. main pins glibc's malloc thresholds first, so
+freed arrays stay in the heap. Log verbosity comes from CONVSER_LOG
+(error|info|debug).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import functools
 import hashlib
 import json
 import logging
@@ -49,6 +53,33 @@ def _setup_logging():
         print(f"warning: CONVSER_LOG={level_name!r} not in {sorted(levels)}", file=sys.stderr)
         level_name = "info"
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
+
+
+# glibc's mallopt parameter numbers, and the ceilings its dynamic thresholds
+# reach on 64-bit (the trim threshold follows at twice the mmap threshold)
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_MAX = 32 << 20
+
+
+@functools.cache
+def _pin_malloc_thresholds() -> bool:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64 MiB,
+    once per process; True where mallopt took both.
+
+    By default glibc serves a block from a fresh mapping until a free raises
+    its dynamic threshold past that size, and gives freed heap back to the OS
+    past a trim threshold that follows it. Freed numpy temporaries of a few
+    hundred KB then return to the kernel and fault in again on the next
+    call. Pinned, they stay in the heap and are reused; only both pinned
+    together do it. Forked pool workers inherit the setting. False, and
+    nothing changed, where there is no mallopt or it refuses (musl, macOS)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX) == 1
+            and mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX) == 1)
 
 
 def _is_number(value) -> bool:
@@ -239,18 +270,23 @@ def cmd_train(args) -> int:
             with contextlib.suppress(OSError):
                 out_dir.rmdir()
         raise
-    _save_run(result, out_dir, feature_doc)
+    # written last, once the fold models are in place: a run JSON marks a complete run
+    _write_whole(out_dir / f"{result.model_id}_run.json",
+                 json.dumps(result.to_dict() | feature_doc, sort_keys=True) + "\n")
     print(f"{result.model_id}: {report.format_metrics(result.averaged)}")
     return 0
 
 
-def _save_run(result, out_dir, feature_doc) -> None:
-    """Write the run report JSON once the fold models are in place, through a
-    temporary file: a <model id>_run.json marks a complete run."""
-    path = out_dir / f"{result.model_id}_run.json"
+def _write_whole(path, text) -> None:
+    """Write text to path through path.tmp and os.replace, so that path holds
+    either all of text or what it held before, never part of it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(result.to_dict() | feature_doc, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    tmp.write_text(text)
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_grid(args) -> int:
@@ -283,7 +319,7 @@ def cmd_grid(args) -> int:
         "cells": cells,
         "feature_configs": {str(width): asdict(config) for width, config in configs.items()},
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(run_manifest, indent=2) + "\n")
+    _write_whole(out_dir / "run_manifest.json", json.dumps(run_manifest, indent=2) + "\n")
 
     n_failed = sum(cell["status"] == "failed" for cell in cells)
     n_runs = sum(len(cell["fold_seeds"]) for cell in cells if cell["fold_seeds"])
@@ -307,7 +343,8 @@ def cmd_evaluate(args) -> int:
             f"not match model {args.model} ({'; '.join(differ)}); re-run `convser extract` "
             f"with the model's feature settings")
     labels = [rec.label for rec in manifest.records]
-    _, _, preds = train_eval.evaluate(params, x, np.array(labels), TrainConfig().batch_size)
+    with train_eval._one_blas_thread():  # the thread count training scores at
+        _, _, preds = train_eval.evaluate(params, x, np.array(labels), TrainConfig().batch_size)
     counts = train_eval.confusion(preds.tolist(), labels)
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
     print(report.format_metrics(train_eval.metrics(counts)))
@@ -317,10 +354,11 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     params, extra = load_model(args.model)
     config = _model_feature_config(args.model, extra)
-    for wav in args.wavs:
-        fm = dsp_features.extract_features(load_wav(wav), config)
-        (prob,), _ = model_score(fm.values[None].astype(params.conv_w.dtype), params, 1)
-        print(f"{wav}\t{prob:.4f}\t{int(prob >= 0.5)}")
+    with train_eval._one_blas_thread():  # the thread count extract and training run at
+        for wav in args.wavs:
+            fm = dsp_features.extract_features(load_wav(wav), config)
+            (prob,), _ = model_score(fm.values[None].astype(params.conv_w.dtype), params, 1)
+            print(f"{wav}\t{prob:.4f}\t{int(prob >= 0.5)}")
     return 0
 
 
@@ -420,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_malloc_thresholds()
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -260,9 +260,11 @@ def _demand_zero(shape, dtype):
     the OS supplies a page only when it is first written, already zeroed, so
     a part never written costs neither the writes nor the page faults.
 
-    np.zeros would not do: after the first free, glibc's dynamic mmap
-    threshold serves blocks of a trace array's size from the heap, and calloc
-    then clears them. The mapping is private, not MAP_SHARED (Python's default
+    np.zeros would not do: glibc serves blocks of a trace array's size from
+    the heap, under the mmap threshold the CLI pins at 32 MiB
+    (cli._pin_malloc_thresholds) as under its dynamic one after the first
+    free. A reused heap block comes back dirty, so calloc clears all of it,
+    padding included. The mapping is private, not MAP_SHARED (Python's default
     for an anonymous map), so a forked worker that writes into the array gets
     its own copy of the page. Where MAP_PRIVATE does not exist, and for an
     empty array, which no mapping can hold, np.zeros gives the same values."""

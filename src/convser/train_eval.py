@@ -540,9 +540,9 @@ OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threa
 
 @functools.cache
 def _openblas_setter():
-    """(library, thread-count setter) of the OpenBLAS numpy has loaded into
-    this process, whose getter is the setter's name with get for set, or None
-    when none is found (another BLAS, or no /proc)."""
+    """(library, thread-count setter, getter) of the OpenBLAS numpy has loaded
+    into this process, the getter named as the setter with get for set, or
+    None when none is found (another BLAS, or no /proc)."""
     try:
         maps = Path("/proc/self/maps").read_text().splitlines()
     except OSError:
@@ -557,23 +557,27 @@ def _openblas_setter():
             if setter is not None and getter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                return lib, setter
+                return lib, setter, getter
     return None
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None without an OpenBLAS
+    thread-count function."""
+    found = _openblas_setter()
+    return None if found is None else found[2]()
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the with-block on one OpenBLAS thread, then restore this process's
     thread count."""
-    found = _openblas_setter()
-    if found is None:
+    before = _blas_threads()
+    # at one thread already, the setter would restart the pool a worker shut down
+    if before is None or before == 1:
         yield
         return
-    lib, setter = found
-    before = getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
-    if before == 1:  # the setter would restart the pool a worker shut down
-        yield
-        return
+    setter = _openblas_setter()[1]
     setter(1)
     try:
         yield
@@ -602,7 +606,7 @@ def _start_worker(fn, tasks):
     _worker_job = fn, tasks
     found = _openblas_setter()
     if found is not None:
-        lib, setter = found
+        lib, setter, _ = found
         setter(1)
         # The setter restarts the thread pool that fork took down, and its idle
         # threads spin for about 0.1 s, taking half the cores from the workers;

@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import shutil
 import signal
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 from xml.etree import ElementTree
@@ -257,6 +259,62 @@ def test_commands_that_read_seed_and_jobs_take_them(command, option, dest):
     assert getattr(args, dest) == 3
 
 
+def test_main_pins_the_malloc_thresholds_first(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_pin_malloc_thresholds", lambda: calls.append("pin"))
+    monkeypatch.setattr(cli, "_setup_logging", lambda: calls.append("logging"))
+    assert run("report", "--results", FIXTURE) == 0
+    assert calls == ["pin", "logging"]
+
+
+# Prints the minor page faults of each of 20 calls of a 1 s synthesis and of a
+# 0.9 time_stretch, in a fresh process after the malloc thresholds are pinned,
+# or null where mallopt is unavailable.
+FAULTS_SCRIPT = """
+import json, resource
+import numpy as np
+from convser import cli
+from convser.audio_io import AudioBuffer
+from convser.augmentation import time_stretch
+from convser.synth_data import _synthesize
+
+def faults(fn):
+    fn(); fn()  # the heap grows to the call's size once
+    counts = []
+    for _ in range(20):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fn()
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return counts
+
+if cli._pin_malloc_thresholds():
+    rng = np.random.default_rng(0)
+    clip = AudioBuffer(_synthesize(160.0, 4.0, -6.0, 1.0, rng), 44100)
+    print(json.dumps({"synth": faults(lambda: _synthesize(160.0, 4.0, -6.0, 1.0, rng)),
+                      "stretch": faults(lambda: time_stretch(clip, 0.9))}))
+else:
+    print("null")
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
+def test_pinned_thresholds_keep_freed_arrays_in_the_heap():
+    """Unpinned, glibc gives a 1 s synthesis's freed temporaries back to the
+    OS and each call faults about 3,300 pages in again, a time_stretch about
+    240."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    faults = json.loads(proc.stdout)
+    if faults is None:
+        pytest.skip("mallopt is unavailable in this C library")
+    assert max(faults["synth"]) < 100, faults["synth"]
+    assert max(faults["stretch"]) < 50, faults["stretch"]
+
+
 class TestPlanFile:
     def test_keys_not_in_the_file_keep_their_defaults(self, pipeline, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -445,11 +503,10 @@ class TestExtract:
 
         monkeypatch.setattr(train_eval, "ProcessPoolExecutor", no_pool)
         assert extract("jobs1", "--jobs", 1) == pooled
-        found = train_eval._openblas_setter()
-        if found is None:
+        before = train_eval._blas_threads()
+        if before is None:
             pytest.skip("no OpenBLAS thread-count function in this process")
-        lib, setter = found
-        before = getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+        setter = train_eval._openblas_setter()[1]
         setter(2)
         try:
             assert extract("jobs1_two_threads", "--jobs", 1) == pooled
@@ -609,6 +666,19 @@ def run_dir(pipeline, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def custom_model(pipeline, tmp_path_factory):
+    """An untrained custom-15-20-40 model file: 15 filters at width 40 sum
+    600 inputs per frame, a product whose last bits depend on the BLAS
+    thread count."""
+    feature_config = load_features(pipeline["features"], 40).config
+    config = neural_net.ModelConfig(filters=15, n_mfcc=40, max_frames=feature_config.max_frames)
+    path = tmp_path_factory.mktemp("custom") / "custom-15-20-40_fold0.model.json"
+    neural_net.save_model(neural_net.init_params(config, 1, np.float32), path,
+                          extra={"feature_config": asdict(feature_config)})
+    return path
+
+
+@pytest.fixture(scope="module")
 def grid_dir(pipeline, tmp_path_factory):
     out = tmp_path_factory.mktemp("grid")
     rc = run("grid", "--manifest", pipeline["augmented"] / "manifest.jsonl",
@@ -698,6 +768,47 @@ class TestTrainPredictEvaluate:
         prob, _ = neural_net.model_forward(features.values[None].astype(np.float32), params)
         assert [p.tobytes() for p, _ in scores] == [prob.tobytes()]
         assert printed == f"{prob[0]:.4f}"
+
+    @pytest.mark.parametrize("custom", [False, True], ids=["M1-13", "custom-15-20-40"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_scoring_runs_on_one_blas_thread(self, pipeline, run_dir, custom_model, capsys,
+                                             monkeypatch, command, custom):
+        """evaluate and predict extract and score at the thread count training
+        scores at, whatever the process's count, and restore that count."""
+        before = train_eval._blas_threads()
+        if before is None:
+            pytest.skip("no OpenBLAS thread-count function in this process")
+        model = custom_model if custom else run_dir / "M1-13_fold0.model.json"
+        threads = []
+        real_score, real_extract = neural_net.model_score, cli.dsp_features.extract_features
+
+        def spy_score(*args):
+            threads.append(("score", train_eval._blas_threads()))
+            return real_score(*args)
+
+        def spy_extract(*args):
+            threads.append(("extract", train_eval._blas_threads()))
+            return real_extract(*args)
+
+        monkeypatch.setattr(train_eval, "model_score", spy_score)
+        monkeypatch.setattr(cli, "model_score", spy_score)
+        monkeypatch.setattr(cli.dsp_features, "extract_features", spy_extract)
+        if command == "evaluate":
+            argv = ("--manifest", pipeline["augmented"] / "manifest.jsonl",
+                    "--features", pipeline["features"])
+            expected = [("score", 1)]
+        else:
+            argv = (pipeline["corpus"] / "synth000.wav", pipeline["corpus"] / "synth001.wav")
+            expected = [("extract", 1), ("score", 1)] * 2
+        setter = train_eval._openblas_setter()[1]
+        setter(2)
+        try:
+            capsys.readouterr()
+            assert run(command, "--model", model, *argv) == 0
+            assert threads == expected
+            assert train_eval._blas_threads() == 2
+        finally:
+            setter(before)
 
     @pytest.mark.parametrize("flags, differ", [
         (("--max-frames", 3), "max_frames: store 3, model 6"),
@@ -832,6 +943,20 @@ class TestGridAndReport:
         manifest = json.loads((grid_dir / "run_manifest.json").read_text())
         assert manifest["seed"] == 13
         assert len(manifest["cells"]) == 16
+
+    def test_failed_manifest_write_leaves_no_manifest(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        out = tmp_path / "grid"
+        assert run("grid", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", pipeline["features"], "--epochs", 1, "--seed", 13,
+                   "--jobs", 1, "--out", out) == 1
+        assert "cannot replace" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["results_13.csv", "results_40.csv"]
 
     def test_report_renders_grid_csv(self, grid_dir, capsys):
         capsys.readouterr()

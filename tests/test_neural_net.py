@@ -24,7 +24,7 @@ from convser.neural_net import (
     save_model,
 )
 from convser.neural_net import _live_frames, _padded_product, _sigmoid
-from convser.train_eval import _openblas_setter, evaluate
+from convser.train_eval import _blas_threads, _openblas_setter, evaluate
 
 TINY = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
 
@@ -939,11 +939,10 @@ class TestBackward:
 @pytest.fixture
 def blas_threads():
     """OpenBLAS's thread-count setter, the count restored afterwards."""
-    found = _openblas_setter()
-    if found is None:
+    before = _blas_threads()
+    if before is None:
         pytest.skip("no OpenBLAS thread-count function in this process")
-    lib, setter = found
-    before = getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+    setter = _openblas_setter()[1]
     yield setter
     setter(before)
 

@@ -486,8 +486,7 @@ class TestCrossValidate:
 
 def blas_thread_count(_=None):
     """The thread count of the OpenBLAS that numpy has loaded into this process."""
-    lib, setter = train_eval._openblas_setter()
-    return getattr(lib, setter.__name__.replace("set_num_threads", "get_num_threads"))()
+    return train_eval._blas_threads()
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -524,7 +523,7 @@ def fail_on_three(task):
 @pytest.mark.skipif(train_eval._openblas_setter() is None,
                     reason="no OpenBLAS thread-count function in this process")
 def test_in_process_tasks_run_one_blas_thread_and_restore_the_count():
-    _, setter = train_eval._openblas_setter()
+    setter = train_eval._openblas_setter()[1]
     before = blas_thread_count()
     setter(2)
     try:
