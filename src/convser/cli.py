@@ -281,7 +281,7 @@ def _write_whole(path, text) -> None:
     """Write text to path through path.tmp and os.replace, so that path holds
     either all of text or what it held before, never part of it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8", newline="")
     try:
         os.replace(tmp, path)
     except BaseException:
@@ -302,7 +302,7 @@ def cmd_grid(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for width in GRID_WIDTHS:
-        report.write_results_csv(results[width], out_dir / f"results_{width}.csv")
+        _write_whole(out_dir / f"results_{width}.csv", report.results_csv(results[width]))
 
     cells = []
     for width in GRID_WIDTHS:

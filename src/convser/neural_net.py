@@ -12,41 +12,39 @@ BLAS calls across timesteps; the recurrence (_recurrence) is the LSTM step
 loop. model_forward runs both on a training batch and keeps the trace
 model_backward reads. model_score, which evaluate and predict call, keeps
 no trace: it runs the input stage per batch and one step loop over all
-rows, remainder batch included, with the bits model_forward gives batch by
-batch. A single sample is a batch of one.
+rows, remainder batch included. A single sample is a batch of one.
 
 The LSTM steps are stacked over the four gate blocks: each forward step
 makes one sigmoid call over all gates (tanh then overwrites the cell block),
 and each backpropagation-through-time step writes the pre-activation
 gradient of all gates as one product, from gate factors computed once before
 the loop. Every multiplication keeps the operands and order of the per-gate
-form, so traces and gradients are bit-identical to it (the per-gate form is
-the reference in the tests).
+form, so a batch without padding to skip gets the traces and gradients of
+the per-gate form bit for bit (the per-gate form is the reference in the
+tests).
 
 Samples are zero-padded at the tail to a fixed frame count, and the products
-skip that padding. _conv_relu decides once per batch how many leading frames
-n every product runs over (see _live_frames): the frames before the batch's
+skip that padding when it is at least a quarter of the frames, where
+skipping pays. _conv_relu decides once per batch how many leading frames n
+every product runs over (see _live_frames): the frames before the batch's
 trailing all-zero frames, or all T when some conv_b > 0 (or NaN) makes the
 padding active. The convolution, its ReLU, the LSTM input projection, the
-input gradient dflat, the ReLU mask it passes through and the conv_b
-gradient all read that n. An all-zero frame's product row is exactly +0 for
-finite weights, so skipped frames get the bias terms a full-size product
-gives them (0 + conv_b, a ReLU of +0, 0 + lstm_b) and dpre rows of zero. The
-trace keeps conv_pre and the ReLU output at all T frames; their padding lies
-on zero pages the OS maps in only when written (see _demand_zero), and only a
-non-zero conv_b is ever written there. The two products that sum over all
-B*T rows, the lstm_w and conv_w gradients, sum the live rows only, one
-product per K-block of the full-size product (see _padded_product), which
-gives the bits the full-size product has on one OpenBLAS thread, on any
-number of threads. The LSTM step loops run all T steps. The bits equal the
-full-size form's as long as each shorter product runs the same BLAS kernel.
-OpenBLAS on AVX-512 rounds a small product with a small-matrix kernel, so
-padding is skipped only when the live frames keep at least 16 rows, and only
-when it is at least a quarter of the frames, where skipping pays. With
-OpenBLAS 0.3.31 every grid shape then keeps its kernel;
-a BLAS that draws the small-kernel line elsewhere, or blocks its sums
-otherwise, may give other last bits than the full-size form. Every run still
-repeats its own bits.
+input gradient dflat, the ReLU mask it passes through and the lstm_w, conv_w
+and conv_b gradients all read that n. An all-zero frame's product row is
+exactly +0 for finite weights, so skipped frames get the bias terms a
+full-size product gives them (0 + conv_b, a ReLU of +0, 0 + lstm_b) and dpre
+rows of zero. The trace keeps conv_pre and the ReLU output at all T frames;
+their padding lies on zero pages the OS maps in only when written (see
+_demand_zero), and only a non-zero conv_b is ever written there. The LSTM
+step loops run all T steps.
+
+The bit contract is one OpenBLAS thread: train_eval.map_tasks runs every
+task on one, and evaluate and predict score on one, so on any CPU a run
+repeats its bits at every --jobs value. A product's last bits may depend on
+its shape, as a BLAS picks kernels and blocks its sums by size, so a batch
+that skips its padding, and model_score's products over more rows than a
+batch, agree with the full-size batch-by-batch form to rounding, not bit
+for bit.
 """
 
 from __future__ import annotations
@@ -232,19 +230,16 @@ def _check_features(features, params: ModelParams):
 
 def _live_frames(x):
     """The frames before the trailing all-zero frames of a (B, T, ...) batch,
-    x[:, n:] being zero in every sample, when those number at least T // 4
-    and the n live frames hold no rows or at least 16 (B * n); otherwise T.
+    x[:, n:] being zero in every sample, when those number at least T // 4;
+    otherwise T.
 
     Skipping costs a copy of the live rows and fresh arrays for the results;
     on C6-shaped M8-40 batches (T = 60) it paid from about 8 skipped frames
-    on, so a batch with less padding runs full-size, as if it had none. Below
-    16 rows OpenBLAS (0.3.31, AVX-512) can send the input projection
-    x @ lstm_w.T of a grid shape to its small-matrix kernel (up to 15 rows at
-    20 LSTM units, 4 at M8-40), which rounds differently from the blocked
-    kernel of the full-size product. Frame T - T // 4 is read first, as it
-    is usually live when there is too little padding; then one pass marks
-    the frames with a non-zero value in any sample (reducing over samples
-    first, as numpy reduces short rows slowly)."""
+    on, so a batch with less padding runs full-size, as if it had none.
+    Frame T - T // 4 is read first, as it is usually live when there is too
+    little padding; then one pass marks the frames with a non-zero value in
+    any sample (reducing over samples first, as numpy reduces short rows
+    slowly)."""
     x = x.reshape(x.shape[:2] + (math.prod(x.shape[2:]),))  # -1 cannot size 0 frames
     t = x.shape[1]
     limit = t - t // 4  # frames limit.. must all be zero for any to be skipped
@@ -252,7 +247,7 @@ def _live_frames(x):
         return t
     live = np.flatnonzero((x != 0).any(axis=0).any(axis=1))
     end = int(live[-1]) + 1 if len(live) else 0
-    return t if end > limit or 0 < x.shape[0] * end < 16 else end
+    return t if end > limit else end
 
 
 def _demand_zero(shape, dtype):
@@ -316,24 +311,12 @@ def _project(inputs, params: ModelParams):
     return xw.transpose(1, 0, 2)
 
 
-def _matmul_rows(a, w, groups=None):
-    """a @ w, with the rows lo:hi of each (lo, hi) in groups, when given, as
-    a product of their own: the bits separate calls on those rows give."""
-    if groups is None or len(groups) == 1:
-        return a @ w
-    out = np.empty(a.shape[:1] + w.shape[1:], np.result_type(a, w))
-    for lo, hi in groups:
-        np.matmul(a[lo:hi], w, out=out[lo:hi])
-    return out
-
-
-def _recurrence(xw, fill, steps, params: ModelParams, keep: bool, groups=None):
+def _recurrence(xw, fill, steps, params: ModelParams, keep: bool):
     """The LSTM step loop from h0 = c0 = 0 over `steps` steps: step s reads
     the input projections xw[s], (B, 4 * units), while s < len(xw), and the
-    row fill after. The recurrent product runs per row group when groups
-    are given (see _matmul_rows). Returns the final hidden state and, when
-    keep, the ForwardTrace arrays (gates, cell, tanh_cell, h_prev) of every
-    step, else None."""
+    row fill after. Returns the final hidden state and, when keep, the
+    ForwardTrace arrays (gates, cell, tanh_cell, h_prev) of every step, else
+    None."""
     b = xw.shape[1]
     u = params.config.lstm_units
     dtype = params.lstm_w.dtype
@@ -345,7 +328,7 @@ def _recurrence(xw, fill, steps, params: ModelParams, keep: bool, groups=None):
     for step in range(steps):
         s = step % kept
         h_prev[s] = h
-        z = _matmul_rows(h, params.lstm_u.T, groups)
+        z = h @ params.lstm_u.T
         z += xw[step] if step < len(xw) else fill
         # one sigmoid over all four gate blocks, then tanh over the cell block
         gates[s] = _sigmoid(z).reshape(b, 4, u).transpose(1, 0, 2)
@@ -357,11 +340,10 @@ def _recurrence(xw, fill, steps, params: ModelParams, keep: bool, groups=None):
     return h, trace if keep else None
 
 
-def _output(h, params: ModelParams, groups=None):
+def _output(h, params: ModelParams):
     """The logistic output unit: (B,) probabilities and logits of the final
-    hidden states, its product run per row group when groups are given
-    (see _matmul_rows)."""
-    logit = _matmul_rows(h, params.dense_w, groups)
+    hidden states."""
+    logit = h @ params.dense_w
     logit += params.dense_b
     return _clamp_prob(_sigmoid(logit)), logit
 
@@ -396,17 +378,14 @@ def model_forward(features, params: ModelParams):
 
 def model_score(features, params: ModelParams, batch_size: int):
     """The (B,) probabilities and logits of a (B, T, n_mfcc) array without a
-    trace, bit for bit what model_forward gives on each batch_size rows.
+    trace: what model_forward gives on each batch_size rows, to rounding.
 
     The input stage runs per batch_size rows, exactly as in model_forward,
     so its memory stays bounded. Its projections are stacked time-major into
     one (frames, B, 4 * units) array, each batch's frames after its live
     ones holding 0 + lstm_b, and one step loop runs over all rows, keeping
-    only the current step. Only the recurrent and output products read more
-    than one row, and they run per row group: all batches of 16 or more rows
-    form one group, as OpenBLAS computes each row of a product of at least
-    16 rows the same for any row count, and each smaller batch is a group of
-    its own, as below 16 rows it can take its small-matrix kernel."""
+    only the current step. Its recurrent and output products run over all B
+    rows at once, so their last bits may differ from a batch's own."""
     x = _check_features(features, params)
     b, t, _ = x.shape
     starts = range(0, b, batch_size)
@@ -417,57 +396,8 @@ def model_score(features, params: ModelParams, batch_size: int):
     for s, rows in zip(starts, stages):
         xw[:len(rows), s:s + batch_size] = rows
         xw[len(rows):, s:s + batch_size] = fill
-    # a group ends before each batch under 16 rows and after it
-    edges = [0, *(s for s in starts[1:] if batch_size < 16 or b - s < 16), b]
-    groups = list(zip(edges, edges[1:]))
-    h, _ = _recurrence(xw, fill, t, params, keep=False, groups=groups)
-    return _output(h, params, groups)
-
-
-# OpenBLAS 0.3.31 (AVX-512 kernels) sums the K rows of a product on one
-# thread in blocks of GEMM_Q rows (the K-panel blocking of Goto and van de
-# Geijn, ACM TOMS 2008); a remainder of between Q and 2Q rows runs as two
-# blocks split at half its rows rounded up to 16, and a product with
-# M * N * K <= SMALL_MNK runs in one pass of its small-matrix kernel. On more
-# threads it splits such a remainder at (r + 1) // 2 instead. The values are
-# fitted to that build; tests/test_neural_net.py::TestPaddedProduct fails
-# for a BLAS that blocks otherwise.
-GEMM_Q = {np.dtype(np.float32): 448, np.dtype(np.float64): 384}
-SMALL_MNK = 10**6
-
-
-def _k_blocks(k, q):
-    """Edges of the blocks OpenBLAS sums k rows in on one thread, q rows a block."""
-    edges = [0]
-    while edges[-1] < k:
-        r = k - edges[-1]
-        edges.append(edges[-1] + (((r // 2 + 15) // 16) * 16 if q < r < 2 * q else min(r, q)))
-    return edges
-
-
-def _padded_product(a, w, samples, rows):
-    """a.T @ w of two (samples * rows)-row float32 or float64 arrays, one of
-    them zero in rows n.. of each sample's rows, given the live rows of both:
-    a (samples * n, p) and w (samples * n, q), each sample's first n rows in
-    order.
-
-    The result has the bits of the full-size product on one OpenBLAS thread,
-    at any thread count: it is the in-order sum of one product per K-block
-    of the full-size product (see _k_blocks), over that block's live rows.
-    No product has more rows than a block, so BLAS never splits its sum, and
-    the skipped rows' terms are zeros, which leave every partial sum as it
-    is."""
-    n = len(a) // samples
-    k = samples * rows
-    dtype = np.result_type(a, w)
-    edges = [0, k] if a.shape[1] * w.shape[1] * k <= SMALL_MNK else _k_blocks(k, GEMM_Q[dtype])
-    # a full-size row index -> the number of live rows before it
-    lives = [(e // rows) * n + min(e % rows, n) for e in edges]
-    out = np.zeros((a.shape[1], w.shape[1]), dtype)
-    for lo, hi in zip(lives, lives[1:]):
-        if lo < hi:
-            out += a[lo:hi].T @ w[lo:hi]
-    return out
+    h, _ = _recurrence(xw, fill, t, params, keep=False)
+    return _output(h, params)
 
 
 def bce_from_logit(logit, y):
@@ -537,20 +467,16 @@ def model_backward(trace: ForwardTrace, y, params: ModelParams) -> ModelParams:
 
     # flatten -> ReLU mask -> convolution, over the frames the forward pass
     # ran over (see _conv_relu): flat and windows are zero after them, so the
-    # lstm_w and conv_w gradients sum their live rows only (_padded_product),
-    # and dflat reaches dpre only through an active ReLU unit, so dpre is
-    # zero after them too
+    # lstm_w and conv_w gradients sum their live rows only, and dflat reaches
+    # dpre only through an active ReLU unit, so dpre is zero after them too
     k, _, filters = params.conv_w.shape
     n = trace.live
     dz_live = dz_flat.reshape(b, t, 4 * u)[:, :n].reshape(b * n, 4 * u)
-    lstm_w = _padded_product(dz_live, trace.flat[:, :n].reshape(b * n, m * filters), b, t)
+    lstm_w = dz_live.T @ trace.flat[:, :n].reshape(b * n, m * filters)
     dflat = dz_live @ params.lstm_w
     dpre = np.multiply(dflat.reshape(b, n, m, filters), trace.conv_pre[:, :n] > 0.0)
-    conv_w = _padded_product(trace.windows[:, :n].reshape(b * n * m, k),
-                             dpre.reshape(b * n * m, filters), b, t * m)
+    conv_w = trace.windows[:, :n].reshape(b * n * m, k).T @ dpre.reshape(b * n * m, filters)
     conv_b = dpre.sum(axis=(0, 1, 2))
-    if n < t:
-        conv_b += 0.0  # the skipped frames' +0 terms turn a -0 sum into +0
     grads = {
         "conv_w": conv_w.reshape(k, 1, filters),
         "conv_b": conv_b,

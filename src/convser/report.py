@@ -4,6 +4,7 @@ optional SVG bar chart of averaged accuracy."""
 from __future__ import annotations
 
 import csv
+import io
 import re
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -60,14 +61,14 @@ def result_row(result) -> dict:
     return row
 
 
-def write_results_csv(results, path) -> None:
-    """One row per grid cell in M1..M8 order, Table-schema columns."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for result in results:
-            writer.writerow(result_row(result))
+def results_csv(results) -> str:
+    """The text of a results table: one row per grid cell in M1..M8 order,
+    Table-schema columns."""
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(map(result_row, results))
+    return text.getvalue()
 
 
 def read_results_csv(path) -> list[dict]:

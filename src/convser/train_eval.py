@@ -351,11 +351,10 @@ class GridFailure:
 def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int):
     """Score (B, T, n_mfcc) inputs against labels y in batches of batch_size.
 
-    Returns (mean loss, accuracy, per-sample predictions at threshold 0.5),
-    from the bits model_forward gives batch by batch; one model_score call
-    runs one step loop over all rows, remainder batch included. Training's
-    per-epoch curves, its final validation metrics and `convser evaluate`
-    all come from this function."""
+    Returns (mean loss, accuracy, per-sample predictions at threshold 0.5)
+    of one model_score call, which runs one step loop over all rows,
+    remainder batch included. Training's per-epoch curves, its final
+    validation metrics and `convser evaluate` all come from this function."""
     prob, logit = model_score(x, params, batch_size)
     preds = (prob >= 0.5).astype(int)
     accuracy = float((preds == y).mean())

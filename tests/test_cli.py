@@ -17,6 +17,7 @@ from convser.audio_io import load_manifest, load_wav
 from convser.cli import main
 from convser.dsp_features import FeatureConfig, extract_features, load_features
 from convser.exceptions import ConvserError
+from convser.report import read_results_csv
 
 from conftest import wav_bytes
 
@@ -25,6 +26,14 @@ FIXTURE = Path(__file__).parent / "fixtures" / "results_40_reference.csv"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def child_env(**settings):
+    """This process's environment for a child Python that imports this
+    checkout's convser, with settings added."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, **settings, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +148,32 @@ class TestJobs:
             trees.append({name: data for name, data in tree_bytes(tmp_path / str(jobs)).items()
                           if name.endswith(".model.json")})
         assert sorted(trees[0]) == [f"custom-15-20-40_fold{k}.model.json" for k in range(3)]
+        assert trees[0] == trees[1]
+
+    def test_train_files_do_not_depend_on_jobs_on_avx2_kernels(self, pipeline, tmp_path):
+        """The one-thread contract holds on a second kernel set:
+        OPENBLAS_CORETYPE=Haswell makes a DYNAMIC_ARCH OpenBLAS, as numpy
+        bundles it, run its AVX2 kernels, in the child processes only. At 60
+        frames the 1 s clips' batches skip their padding."""
+        features = tmp_path / "features"
+        assert run("extract", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--mfcc", "13", "--max-frames", 60, "--out", features) == 0
+        trees = []
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from convser.cli import main; "
+                 "sys.exit(main(sys.argv[1:]))", "train",
+                 "--manifest", str(pipeline["augmented"] / "manifest.jsonl"),
+                 "--features", str(features), "--mfcc", "13", "--filters", "16",
+                 "--kernel", "5", "--lstm", "20", "--epochs", "2", "--seed", "11",
+                 "--jobs", str(jobs), "--out", str(out)],
+                env=child_env(OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True,
+                timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            trees.append({name: data for name, data in tree_bytes(out).items()
+                          if name.endswith(".model.json")})
+        assert sorted(trees[0]) == [f"M1-13_fold{k}.model.json" for k in range(3)]
         assert trees[0] == trees[1]
 
     @pytest.mark.parametrize("jobs", [(), ("--jobs", 1), ("--jobs", 2)])
@@ -302,10 +337,7 @@ def test_pinned_thresholds_keep_freed_arrays_in_the_heap():
     """Unpinned, glibc gives a 1 s synthesis's freed temporaries back to the
     OS and each call faults about 3,300 pages in again, a time_stretch about
     240."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=child_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     faults = json.loads(proc.stdout)
@@ -565,7 +597,8 @@ class TestExtract:
         assert run("extract", "--manifest", corpus / "manifest.jsonl", "--mfcc", "13",
                    "--max-frames", 3, "--out", tmp_path / "f") == 0
         store = load_features(tmp_path / "f", 13)
-        fm = extract_features(load_wav(wav), store.config)
+        with train_eval._one_blas_thread():  # the thread count extract runs at
+            fm = extract_features(load_wav(wav), store.config)
         assert fm.n_valid_frames == 3
         assert np.array_equal(store.rows["synth001"], fm.values[: fm.n_valid_frames])
 
@@ -944,10 +977,15 @@ class TestGridAndReport:
         assert manifest["seed"] == 13
         assert len(manifest["cells"]) == 16
 
-    def test_failed_manifest_write_leaves_no_manifest(self, pipeline, tmp_path, capsys,
-                                                      monkeypatch):
+    @staticmethod
+    def grid_failing_to_replace(name, pipeline, tmp_path, capsys, monkeypatch):
+        """The output directory of a grid whose os.replace onto `name` fails."""
+        replace = os.replace
+
         def failing_replace(src, dst):
-            raise OSError(f"cannot replace {dst}")
+            if Path(dst).name == name:
+                raise OSError(f"cannot replace {dst}")
+            replace(src, dst)
 
         monkeypatch.setattr(cli.os, "replace", failing_replace)
         out = tmp_path / "grid"
@@ -955,8 +993,21 @@ class TestGridAndReport:
                    "--features", pipeline["features"], "--epochs", 1, "--seed", 13,
                    "--jobs", 1, "--out", out) == 1
         assert "cannot replace" in capsys.readouterr().err
-        assert not (out / "run_manifest.json").exists()
+        return out
+
+    def test_failed_manifest_write_leaves_no_manifest(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        out = self.grid_failing_to_replace("run_manifest.json", pipeline, tmp_path, capsys,
+                                           monkeypatch)
         assert sorted(p.name for p in out.iterdir()) == ["results_13.csv", "results_40.csv"]
+
+    def test_failed_table_write_leaves_no_partial_table(self, pipeline, tmp_path, capsys,
+                                                        monkeypatch):
+        out = self.grid_failing_to_replace("results_40.csv", pipeline, tmp_path, capsys,
+                                           monkeypatch)
+        # results_13.csv was whole before the failed replace; no .tmp file is left
+        assert sorted(p.name for p in out.iterdir()) == ["results_13.csv"]
+        assert len(read_results_csv(out / "results_13.csv")) == 8
 
     def test_report_renders_grid_csv(self, grid_dir, capsys):
         capsys.readouterr()

@@ -23,8 +23,8 @@ from convser.neural_net import (
     model_score,
     save_model,
 )
-from convser.neural_net import _live_frames, _padded_product, _sigmoid
-from convser.train_eval import _blas_threads, _openblas_setter, evaluate
+from convser.neural_net import _live_frames, _sigmoid
+from convser.train_eval import _blas_threads, _one_blas_thread, _openblas_setter, evaluate
 
 TINY = ModelConfig(filters=2, kernel_size=3, lstm_units=3, n_mfcc=5, max_frames=6)
 
@@ -213,9 +213,24 @@ def same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def reference_mismatches(x, y, params, same=same_bits):
-    """Names of the trace arrays and gradients that differ from the reference."""
+def close(got, want):
+    """Equal to rounding: a product over fewer or more rows than the
+    reference's may round its last bits otherwise, as a BLAS blocks its sums
+    and picks its kernels by a product's size. The error is measured against
+    the array's largest magnitude, the scale a sum's rounding error follows."""
+    got, want = np.asarray(got), np.asarray(want)
+    rtol = 1e-4 if want.dtype == np.float32 else 1e-10
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.allclose(got, want, rtol=0, atol=rtol * np.abs(want).max(initial=0)))
+
+
+def reference_mismatches(x, y, params, same=None):
+    """Names of the trace arrays and gradients that differ from the
+    reference: by default in their bits when the batch ran full-size, making
+    the reference's BLAS calls, and beyond rounding when it skipped padding."""
     _, trace = model_forward(x, params)
+    if same is None:
+        same = same_bits if trace.live == x.shape[1] else close
     expected = reference_forward(x, params)
     bad = [name for name, want in expected.items() if not same(getattr(trace, name), want)]
     grads = model_backward(trace, y, params)
@@ -276,18 +291,19 @@ class TestMatchesPerGateReference:
         y = (np.arange(batch) % 2).astype(dtype)
         assert reference_mismatches(x, y, params) == []
 
-    # The padded batches skip the product rows of their trailing zero frames
-    # (all but longest = 20 and 16, whose padding is under a quarter of the 20
-    # frames). At B = 16 every product keeps the kernel the full-size
-    # reference uses, so the bits must match, sign of zero included.
+    # The padded batches skip the product rows of their trailing zero frames,
+    # and match the full-size reference to rounding, but for longest = 20 and
+    # 16, whose padding is under a quarter of the 20 frames, and a positive
+    # conv_b (mixed), which makes the padding active
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", ["zero", "mixed", "nonpositive"])
-    @pytest.mark.parametrize("longest", [20, 16, 13, 4, 1])
-    def test_tail_padded_batch_bit_identical(self, config, dtype, bias, longest):
+    @pytest.mark.parametrize("batch,longest", [(16, 20), (16, 16), (16, 13), (16, 4), (16, 1),
+                                               (4, 6), (1, 6)])
+    def test_tail_padded_batch_close(self, config, dtype, bias, batch, longest):
         params = conv_bias(random_params(config, 7), bias).astype(dtype)
-        x = padded_batch(config, 16, longest, dtype, seed=longest)
-        y = (np.arange(16) % 2).astype(dtype)
+        x = padded_batch(config, batch, longest, dtype, seed=longest if batch == 16 else batch)
+        y = (np.arange(batch) % 2).astype(dtype)
         assert reference_mismatches(x, y, params) == []
 
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
@@ -297,12 +313,12 @@ class TestMatchesPerGateReference:
         params = conv_bias(random_params(config, 7), bias).astype(dtype)
         x = np.zeros((16, config.max_frames, config.n_mfcc), dtype)
         y = (np.arange(16) % 2).astype(dtype)
-        assert reference_mismatches(x, y, params) == []
+        assert reference_mismatches(x, y, params, same=same_bits) == []
 
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", ["zero", "mixed"])
-    def test_interior_zero_frames_bit_identical(self, config, dtype, bias):
+    def test_interior_zero_frames_close(self, config, dtype, bias):
         # zero frames 3..9 in every sample, then live frames 10..14, then padding:
         # only the trailing frames may be skipped
         params = conv_bias(random_params(config, 7), bias).astype(dtype)
@@ -312,37 +328,15 @@ class TestMatchesPerGateReference:
         y = (np.arange(16) % 2).astype(dtype)
         assert reference_mismatches(x, y, params) == []
 
-    # At B = 1 and B = 4 a product over the live rows can be small enough for
-    # OpenBLAS on AVX-512 to take its small-matrix kernel, which rounds
-    # differently from the blocked kernel of the full-size reference. The
-    # 16-row floor of _live_frames keeps the grid shapes off it with OpenBLAS
-    # 0.3.31, but where a BLAS draws that line is its own choice, so these
-    # batches are held to the last few bits only.
-    @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("bias", ["zero", "mixed"])
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_small_padded_batch_close(self, config, dtype, bias, batch):
-        params = conv_bias(random_params(config, 7), bias).astype(dtype)
-        x = padded_batch(config, batch, 6, dtype, seed=batch)
-        y = (np.arange(batch) % 2).astype(dtype)
-        rtol = 1e-4 if dtype == np.float32 else 1e-10
-
-        def close(got, want):
-            return got.dtype == want.dtype and np.allclose(got, want, rtol=rtol, atol=rtol * 1e-2)
-
-        assert reference_mismatches(x, y, params, same=close) == []
-
     # T = 60 with 1..8 live frames per sample, as in the benchmark's batches:
-    # model_backward reads the ReLU mask of the input's live frames only,
-    # unless the 5-row batch keeps too few live rows to skip any (longest 1)
+    # model_backward reads the ReLU mask of the input's live frames only
     @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
                              ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", ["zero", "mixed", "nonpositive"])
     @pytest.mark.parametrize("batch", [16, 5])
     @pytest.mark.parametrize("longest", [8, 1])
-    def test_benchmark_shape_bit_identical(self, config, dtype, bias, batch, longest):
+    def test_benchmark_shape_close(self, config, dtype, bias, batch, longest):
         params = conv_bias(random_params(config, 7, scale=0.2), bias).astype(dtype)
         x = padded_batch(config, batch, longest, dtype, seed=batch + longest)
         y = (np.arange(batch) % 2).astype(dtype)
@@ -354,7 +348,7 @@ class TestMatchesPerGateReference:
                              ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("live", [8, 20])
-    def test_zero_relu_frames_bit_identical(self, config, dtype, live):
+    def test_zero_relu_frames_close(self, config, dtype, live):
         params = negative_conv(random_params(config, 7, scale=0.2)).astype(dtype)
         x = dead_relu_batch(config, 16, live, dtype, seed=live)
         _, trace = model_forward(x, params)
@@ -408,12 +402,11 @@ class TestLiveFrames:
         x[:, 10:] = 0.0
         assert _live_frames(x) == 10
 
-    def test_fewer_than_16_live_rows_run_full_size(self):
+    def test_few_live_rows_still_skip(self):
         x = np.zeros((3, 20, 4))
         x[:, :5] = 1.0
-        assert _live_frames(x) == 20
-        x[:, 5] = 1.0
-        assert _live_frames(x) == 6
+        assert _live_frames(x) == 5
+        assert _live_frames(x[:1, :, :1]) == 5
 
     def test_padding_under_a_quarter_runs_full_size(self):
         x = np.ones((2, 20, 4))
@@ -691,34 +684,37 @@ def scoring_input(config, rows, kind, dtype, seed):
 
 
 class TestModelScore:
-    """model_score keeps no trace, yet gives the bits model_forward gives on
-    each 16-row batch, as do evaluate and predict, which score through it."""
+    """model_score keeps no trace, yet gives to rounding what model_forward
+    gives on each batch; evaluate's loss, accuracy and predictions are those
+    of model_score's own outputs, exactly."""
 
     ROWS = (1, 5, 13, 16, 29, 67, 91, 213)
+
+    @staticmethod
+    def assert_evaluate_reads(params, x, y, batch_size, rows):
+        prob, logit = model_score(x, params, batch_size)
+        loss, accuracy, preds = evaluate(params, x, y, batch_size)
+        want = (prob >= 0.5).astype(int)
+        assert same_bits(preds, want), rows
+        assert loss == float(bce_from_logit(logit, y).mean()), rows
+        assert accuracy == float((want == y).mean()), rows
 
     @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
                              ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", ["zero", "mixed"])
-    def test_bit_identical_to_batchwise_forward(self, config, dtype, bias):
+    def test_close_to_batchwise_forward(self, config, dtype, bias):
         params = conv_bias(random_params(config, 7, scale=0.2), bias).astype(dtype)
         for kind, rows in enumerate(self.ROWS):
             x = scoring_input(config, rows, kind, dtype, seed=rows)
             y = (np.arange(rows) % 3 == 0).astype(dtype)
             prob, logit = batchwise_forward(x, params)
-            # the full batches in one call and the rest in another give the same bits
-            cut = rows - rows % 16
-            parts = [model_score(part, params, 16) for part in (x[:cut], x[cut:]) if len(part)]
-            assert same_bits(np.concatenate([p for p, _ in parts]), prob), rows
-            assert same_bits(np.concatenate([lg for _, lg in parts]), logit), rows
-            loss, accuracy, preds = evaluate(params, x, y, 16)
-            want = (prob >= 0.5).astype(int)
-            assert same_bits(preds, want), rows
-            assert loss == float(bce_from_logit(logit, y).mean()), rows
-            assert accuracy == float((want == y).mean()), rows
+            got_prob, got_logit = model_score(x, params, 16)
+            assert close(got_prob, prob), rows
+            assert close(got_logit, logit), rows
+            self.assert_evaluate_reads(params, x, y, 16, rows)
 
-    # one call over every row, remainder included: batches of 16 rows or
-    # more share the step loop's products, each smaller batch runs its own
+    # one call over every row, remainder included, at any batch size
     @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
                              ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -730,13 +726,9 @@ class TestModelScore:
             y = (np.arange(rows) % 2).astype(dtype)
             prob, logit = batchwise_forward(x, params, batch_size)
             got_prob, got_logit = model_score(x, params, batch_size)
-            assert same_bits(got_prob, prob), rows
-            assert same_bits(got_logit, logit), rows
-            loss, accuracy, preds = evaluate(params, x, y, batch_size)
-            want = (prob >= 0.5).astype(int)
-            assert same_bits(preds, want), rows
-            assert loss == float(bce_from_logit(logit, y).mean()), rows
-            assert accuracy == float((want == y).mean()), rows
+            assert close(got_prob, prob), rows
+            assert close(got_logit, logit), rows
+            self.assert_evaluate_reads(params, x, y, batch_size, rows)
 
     @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
                              ids=["M1-13", "M8-40"])
@@ -749,8 +741,8 @@ class TestModelScore:
             x = dead_relu_batch(config, rows, live, dtype, seed=rows + live)
             prob, logit = batchwise_forward(x, params)
             got_prob, got_logit = model_score(x, params, 16)
-            assert same_bits(got_prob, prob), rows
-            assert same_bits(got_logit, logit), rows
+            assert close(got_prob, prob), rows
+            assert close(got_logit, logit), rows
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_rows(self, dtype):
@@ -773,22 +765,8 @@ class TestModelScore:
             y = (np.arange(len(x)) % 2).astype(np.float32)
             prob, logit = batchwise_forward(x, params)
             got_prob, got_logit = model_score(x, params, 16)
-            assert same_bits(got_prob, prob) and same_bits(got_logit, logit)
-            loss, _, preds = evaluate(params, x, y, 16)
-            assert loss == float(bce_from_logit(logit, y).mean())
-            assert same_bits(preds, (prob >= 0.5).astype(int))
-
-    @pytest.mark.parametrize("batch_size", [2, 4])
-    def test_evaluate_in_batches_under_16_rows(self, batch_size):
-        # each batch runs its own products (small-matrix kernel below 16 rows)
-        config = replace(M1_13, lstm_units=40, max_frames=60)
-        params = random_params(config, 3, scale=0.2).astype(np.float32)
-        x = scoring_input(config, 29, 0, np.float32, seed=4)
-        y = (np.arange(29) % 2).astype(np.float32)
-        prob, logit = batchwise_forward(x, params, batch_size)
-        loss, _, preds = evaluate(params, x, y, batch_size)
-        assert loss == float(bce_from_logit(logit, y).mean())
-        assert same_bits(preds, (prob >= 0.5).astype(int))
+            assert close(got_prob, prob) and close(got_logit, logit)
+            self.assert_evaluate_reads(params, x, y, 16, len(x))
 
     def test_checks_its_input(self):
         params = init_params(TINY, 0)
@@ -831,32 +809,6 @@ class TestBackward:
             (p,), trace = model_forward(x, params)
             grads = model_backward(trace, np.array([y]), params)
             assert float(grads.dense_b) == pytest.approx(p - y, abs=1e-12)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_conv_b_gradient_of_a_dead_filter_is_plus_zero(self, dtype):
-        # Filter 0 is never active, so its dpre entries on the live frame are
-        # dflat * 0, all -0 here as its dflat columns are negative; the sum
-        # over every frame, padding (+0) included, is +0, and so must be the
-        # sum over the live frame the backward pass reads. 16 identical
-        # samples with one live frame: the padding is skipped.
-        config = replace(M1_13, max_frames=20)
-        params = conv_bias(random_params(config, 7, scale=0.2), "zero")
-        params.conv_w[:, 0, 0] = 0.0
-        x = np.zeros((16, 20, 13))
-        x[:, 0] = np.random.default_rng(5).uniform(-1, 1, 13)
-        y = np.zeros(16)
-        params = params.astype(dtype)
-        x, y = x.astype(dtype), y.astype(dtype)
-        _, trace = model_forward(x, params)
-        # filter 0's columns do not reach the forward pass (their ReLU input is
-        # 0), so dz stays as it is; the lstm_w gradient of a live column j is
-        # 16 * flat[j] * dz at frame 0, and -1 times it gives dflat = -c|dz|^2
-        j = int(np.flatnonzero(trace.flat[0, 0])[0])
-        grad = model_backward(trace, y, params).lstm_w[:, j]
-        params.lstm_w[:, ::config.filters] = -grad[:, None]
-        _, trace = model_forward(x, params)
-        conv_b = model_backward(trace, y, params).conv_b
-        assert conv_b[0] == 0.0 and not np.signbit(conv_b[0])
 
     def test_dead_paths_have_zero_gradient(self):
         params = init_params(TINY, 0)
@@ -903,7 +855,7 @@ class TestBackward:
     @pytest.mark.parametrize("bias", ["zero", "positive"])
     def test_finite_difference_gradients_tail_padded(self, bias):
         # frames 3.. are padding in both samples (frames 2.. in the second):
-        # their dflat is skipped unless some conv_b > 0 opens the ReLU there
+        # the products skip them unless some conv_b > 0 opens the ReLU there
         params = random_params(TINY, 110)
         rng = np.random.default_rng(210)
         x = rng.uniform(-1, 1, (2, 6, 5))
@@ -918,6 +870,7 @@ class TestBackward:
             names = tuple(name for name in names if name != "conv_b")
         else:
             params.conv_b[...] = [0.2, 0.4]
+        assert model_forward(x, params)[1].live == (3 if bias == "zero" else 6)
         assert self.worst_fd_error(params, x, y, names) <= 1e-4
 
     def test_gradient_shapes_match_params(self):
@@ -947,63 +900,47 @@ def blas_threads():
     setter(before)
 
 
-class TestPaddedProduct:
-    # (p, q, samples, rows): a.T @ w is (p, q) and sums samples * rows rows.
-    # At 160 x 1280 (the M8-40 lstm_w gradient) 300 rows are one K-block and
-    # 600 two, split at 304, not at its half; 960 and 1,040 rows are three,
-    # the last 512 or 592 (float32) and 576 or 656 (float64) split in two,
-    # 1,040's at 304 and 336, past halves (296, 328) that are no multiple of
-    # 16. At 20 x 32 (M8-40 conv_w) 38,400 rows are 86 or 100 blocks. At
-    # 5 x 16 (M1-13 conv_w) 12,500 rows make M * N * K = 10**6, one pass of
-    # the small-matrix kernel, and 12,501 rows a blocked product.
-    SHAPES = [(160, 1280, 5, 60), (160, 1280, 10, 60), (160, 1280, 16, 60), (160, 1280, 16, 65),
-              (20, 32, 16, 2400), (5, 16, 10, 1250), (5, 16, 1, 12501)]
+class TestOneBlasThread:
+    """Training and scoring compute on one OpenBLAS thread, so their bits do
+    not depend on the thread count the process ran at before. A batch of 10
+    at T = 60 sums 600 rows in the lstm_w gradient, a product OpenBLAS splits
+    differently on one thread and on two."""
 
-    @staticmethod
-    def operands(p, q, samples, rows, live, dtype):
-        """Full-size a (no zero rows) and w (each sample's rows live.. zero)."""
-        rng = np.random.default_rng(samples * rows + live)
-        a = rng.standard_normal((samples, rows, p)).astype(dtype)
-        w = np.zeros((samples, rows, q), dtype)
-        w[:, :live] = rng.standard_normal((samples, live, q))
-        return a, w
-
-    # The full-size product's own bits depend on the thread count (OpenBLAS
-    # splits a remainder at (r + 1) // 2 on two threads), so the reference is
-    # computed on one thread, as in every pinned training worker.
-    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("live", ["0", "1", "rows-1", "rows"])
-    def test_bits_of_full_size_product_on_one_thread(self, blas_threads, shape, dtype, live):
-        p, q, samples, rows = shape
-        n = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows}[live]
-        a, w = self.operands(p, q, samples, rows, n, dtype)
-        blas_threads(1)
-        want = a.reshape(-1, p).T @ w.reshape(-1, q)
-        live_a = a[:, :n].reshape(samples * n, p)
-        live_w = w[:, :n].reshape(samples * n, q)
-        for threads in (1, 2):
-            blas_threads(threads)
-            assert same_bits(_padded_product(live_a, live_w, samples, rows), want)
-
-
-class TestGradientsIndependentOfThreads:
-    # A batch of 10 at T = 60 sums 600 rows in the lstm_w gradient, a
-    # remainder OpenBLAS splits at 304 rows on one thread and at 300 on two
-    @pytest.mark.parametrize("longest", [8, 60])
-    def test_batch_of_10_same_bits_on_1_and_2_threads(self, blas_threads, longest):
-        config = replace(M8_40, max_frames=60)
-        params = conv_bias(random_params(config, 7, scale=0.2), "zero").astype(np.float32)
-        x = padded_batch(config, 10, longest, np.float32, seed=10)
-        y = (np.arange(10) % 2).astype(np.float32)
+    @pytest.mark.parametrize("batch", [1, 5, 10, 16])
+    @pytest.mark.parametrize("longest", [1, 8, 60])
+    def test_gradients_same_bits_from_1_and_2_threads(self, blas_threads, config, dtype,
+                                                      batch, longest):
+        params = conv_bias(random_params(config, 7, scale=0.2), "zero").astype(dtype)
+        x = padded_batch(config, batch, longest, dtype, seed=batch + longest)
+        y = (np.arange(batch) % 2).astype(dtype)
         grads = []
         for threads in (1, 2):
             blas_threads(threads)
-            _, trace = model_forward(x, params)
-            assert trace.live == longest
-            grads.append(model_backward(trace, y, params))
+            with _one_blas_thread():
+                _, trace = model_forward(x, params)
+                grads.append(model_backward(trace, y, params))
+            assert _blas_threads() == threads
+        assert trace.live == longest
         assert [name for name in ModelParams.TENSOR_NAMES
                 if not same_bits(getattr(grads[0], name), getattr(grads[1], name))] == []
+
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch_size", [2, 4, 16])
+    def test_scores_same_bits_from_1_and_2_threads(self, blas_threads, config, dtype,
+                                                   batch_size):
+        params = conv_bias(random_params(config, 7, scale=0.2), "mixed").astype(dtype)
+        x = scoring_input(config, 67, 0, dtype, seed=67)
+        scores = []
+        for threads in (1, 2):
+            blas_threads(threads)
+            with _one_blas_thread():
+                scores.append(model_score(x, params, batch_size))
+        assert same_bits(scores[0][0], scores[1][0]) and same_bits(scores[0][1], scores[1][1])
 
 
 class TestParams:

@@ -16,7 +16,7 @@ from convser.report import (
     parse_percent,
     read_results_csv,
     render_text_table,
-    write_results_csv,
+    results_csv,
 )
 from convser import train_eval
 from convser.train_eval import (
@@ -618,7 +618,7 @@ class TestGrid:
         results = run_grid(config, features, manifest)
         assert all(isinstance(r, GridFailure) for r in results[40])
         assert all(not isinstance(r, GridFailure) for r in results[13])
-        write_results_csv(results[40], tmp_path / "results_40.csv")
+        (tmp_path / "results_40.csv").write_text(results_csv(results[40]), encoding="utf-8")
         rows = read_results_csv(tmp_path / "results_40.csv")
         assert rows[0]["Ø Accuracy"] == "failed"
         assert all("(11, 4, 40)" in r.error and "(12, 4, 40)" in r.error for r in results[40])
@@ -661,7 +661,7 @@ class TestResultsCsv:
         config = TrainConfig(epochs=1, seed=5, n_shuffles=2)
         results = run_grid(config, features, manifest)
         path = tmp_path / "results_13.csv"
-        write_results_csv(results[13], path)
+        path.write_text(results_csv(results[13]), encoding="utf-8")
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "Model,Filters,Kernel Size,LSTM Neurons,Ø Accuracy,Ø Precision,"\
             "Ø Sensitivity,Ø F1-Score"
