@@ -6,8 +6,8 @@ from __future__ import annotations
 import csv
 import io
 import re
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .exceptions import ParameterError
 from .train_eval import GridFailure, METRIC_NAMES, RunReport
@@ -147,9 +147,10 @@ def render_accuracy_svg(rows: list[dict], path) -> None:
                 f'<rect x="{x:.1f}" y="{height - margin - bar_h:.1f}" '
                 f'width="{bar_w:.1f}" height="{bar_h:.1f}" fill="#4878a8"/>'
             )
+        label = escape(row.get("Model", "?"), quote=False)  # text content: quotes need no entity
         parts.append(
             f'<text x="{x + bar_w / 2:.1f}" y="{height - margin + 14}" '
-            f'text-anchor="middle" font-size="11">{escape(row.get("Model", "?"))}</text>'
+            f'text-anchor="middle" font-size="11">{label}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

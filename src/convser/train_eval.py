@@ -278,7 +278,7 @@ def average_metrics(reports) -> tuple[MetricsReport, dict]:
 
 @dataclass
 class TrainResult:
-    params: ModelParams | None  # None once the fold has saved its model
+    params: ModelParams | None  # None once the fold saved its model, or its grid cell was scored
     history: dict
     metrics: MetricsReport
     counts: ConfusionCounts
@@ -425,6 +425,7 @@ def train_model(model_config: ModelConfig, train_config: TrainConfig,
                                    f"batch {batch_no}: loss {batch_loss}, gradient norm {norm}")
             adam_step(trained, {name: grads[name] for name in TRAINED_TENSORS}, state,
                       train_config.learning_rate)
+            del trace, grads  # so the next forward does not run beside this batch's trace
         val_loss, val_acc, val_preds = evaluate(params, x_val, y_val, train_config.batch_size)
         history["train_loss"].append(loss_sum / n_train)
         history["train_accuracy"].append(correct / n_train)
@@ -664,11 +665,18 @@ def map_tasks(fn, tasks, jobs: int) -> list:
 
 
 def _run_cell(task):
+    """cross_validate one grid cell: its RunReport, or a GridFailure. The
+    report carries the folds' metrics and histories but not their tensors, so
+    a grid holds one model at a time and a pool sends none back; `convser
+    train` is what keeps a cell's models."""
     model_config, train_config, features, manifest = task
     try:
-        return cross_validate(model_config, train_config, features, manifest)
+        report = cross_validate(model_config, train_config, features, manifest)
     except Exception as exc:  # a failed cell is recorded, not silently skipped
         return GridFailure(model_config=model_config, error=f"{type(exc).__name__}: {exc}")
+    for fold in report.folds:
+        fold.params = None
+    return report
 
 
 def run_grid(train_config: TrainConfig, features: dict, manifest: DatasetManifest,
@@ -678,7 +686,8 @@ def run_grid(train_config: TrainConfig, features: dict, manifest: DatasetManifes
     order. Returns {13: [RunReport | GridFailure x8], 40: [... x8]} in M1..M8
     order; jobs > 1 runs the independent cells in worker processes with a
     deterministic, order-preserving reduce. Each cell trains its folds
-    serially, so pools never nest."""
+    serially, so pools never nest. A cell carries its metrics and histories,
+    not its tensors: `convser train` is what keeps a cell's models."""
     tasks = [(model_config, train_config, features[width], manifest)
              for width in GRID_WIDTHS
              for model_config in grid_configs(width, features[width].shape[1])]

@@ -347,6 +347,16 @@ def test_pinned_thresholds_keep_freed_arrays_in_the_heap():
     assert max(faults["stretch"]) < 50, faults["stretch"]
 
 
+def test_import_loads_no_network_modules():
+    """convser needs no URL, HTTP, TLS or e-mail code; importing it loads none."""
+    modules = ("urllib.request", "http.client", "ssl", "email.parser")
+    proc = subprocess.run([sys.executable, "-c", "import sys, convser.cli; "
+                           f"print([m for m in {modules!r} if m in sys.modules])"],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 class TestPlanFile:
     def test_keys_not_in_the_file_keep_their_defaults(self, pipeline, tmp_path, capsys):
         path = tmp_path / "plan.json"
@@ -1042,6 +1052,17 @@ class TestGridAndReport:
         assert run("report", "--results", results, "--svg", svg) == 0
         labels = [e.text for e in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
         assert "M1<&>-13" in labels
+
+    def test_report_escapes_model_names_as_before(self, tmp_path):
+        """Labels keep the bytes of xml.sax.saxutils.escape: &, < and > become
+        entities, and both quote characters are left as they are."""
+        lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+        results = tmp_path / "results_40.csv"
+        results.write_text("\n".join([lines[0], lines[1].replace("M1-40", '"M1<&>""\'"')]) + "\n",
+                           encoding="utf-8")
+        svg = tmp_path / "accuracy.svg"
+        assert run("report", "--results", results, "--svg", svg) == 0
+        assert ">M1&lt;&amp;&gt;\"'</text>" in svg.read_text()
 
     def test_report_rejects_a_bad_metric_cell(self, tmp_path, capsys):
         lines = FIXTURE.read_text(encoding="utf-8").splitlines()
