@@ -184,7 +184,7 @@ def write_wav(buffer: AudioBuffer, path) -> None:
     holds every sample within 1/32768.
     """
     if len(buffer.samples) == 0:
-        raise ParameterError("refusing to write an empty buffer")
+        raise ParameterError(f"{path}: refusing to write an empty buffer")
     if not np.isfinite(buffer.samples).all():
         raise ParameterError(f"{path}: refusing to write non-finite (NaN or infinite) samples")
     clipped = np.clip(buffer.samples, -1.0, 1.0)

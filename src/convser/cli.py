@@ -239,10 +239,9 @@ def _extract_record(task):
     message: a failed record is reported, not silently skipped."""
     path, widths, max_frames = task
     try:
-        matrices = dsp_features.extract_widths(load_wav(path), widths, max_frames)
+        return dsp_features.extract_widths(load_wav(path), widths, max_frames)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
-    return [fm.values[: fm.n_valid_frames].copy() for fm in matrices]
 
 
 def cmd_train(args) -> int:

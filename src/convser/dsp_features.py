@@ -159,27 +159,18 @@ def frame_log_energy(frame: np.ndarray) -> np.ndarray:
     return np.log(np.sum(frame * frame, axis=-1) + LOG_FLOOR)
 
 
-def normalize_centered(matrix: np.ndarray, n_valid: int | None = None) -> np.ndarray:
-    """Zero-center and scale into [-1, 1] by the max absolute deviation.
-
-    Statistics are taken over the first n_valid rows only (all rows by
-    default); any remaining rows are forced to zero. A constant matrix maps
-    to all zeros.
+def normalize_centered(matrix: np.ndarray) -> np.ndarray:
+    """Zero-center and scale into [-1, 1] by the max absolute deviation,
+    with statistics over every row. A constant matrix maps to all zeros.
     """
     matrix = np.array(matrix, dtype=np.float64)
-    if n_valid is None:
-        n_valid = len(matrix)
-    if n_valid < 1:
+    if len(matrix) < 1:
         raise ParameterError("need at least one valid frame")
-    valid = matrix[:n_valid]
-    mu = valid.mean()
-    spread = np.abs(valid - mu).max()
+    mu = matrix.mean()
+    spread = np.abs(matrix - mu).max()
     if spread == 0.0:
-        matrix[:n_valid] = 0.0
-    else:
-        matrix[:n_valid] = (valid - mu) / spread
-    matrix[n_valid:] = 0.0
-    return matrix
+        return np.zeros_like(matrix)
+    return (matrix - mu) / spread
 
 
 @functools.cache
@@ -203,14 +194,18 @@ def extract_features(buffer: AudioBuffer, config: FeatureConfig) -> FeatureMatri
     CANONICAL_RATE. Output is a max_frames x n_mfcc matrix normalized into
     [-1, 1]; rows past the valid frame count are zero.
     """
-    return extract_widths(buffer, [config.n_mfcc], config.max_frames)[0]
+    (valid,) = extract_widths(buffer, [config.n_mfcc], config.max_frames)
+    values = np.zeros((config.max_frames, config.n_mfcc))
+    values[: len(valid)] = valid
+    return FeatureMatrix(values=values, n_valid_frames=len(valid))
 
 
 def extract_widths(buffer: AudioBuffer, widths, max_frames: int) -> list:
-    """extract_features at each width (13 or 40), in order, from one pass of
-    the pipeline's front end: the buffer is framed, windowed, transformed and
-    Mel-filtered once, and every width is finished from the same log-Mel
-    energies."""
+    """The valid rows of extract_features at each width (13 or 40), in order:
+    one (frames, width) array each, frames being at most max_frames, from one
+    pass of the pipeline's front end. The buffer is framed, windowed,
+    transformed and Mel-filtered once, and every width is finished from the
+    same log-Mel energies."""
     if buffer.sample_rate != CANONICAL_RATE:
         buffer = resample_linear(buffer, CANONICAL_RATE)
     if not np.isfinite(buffer.samples).all():
@@ -228,9 +223,7 @@ def extract_widths(buffer: AudioBuffer, widths, max_frames: int) -> list:
         else:
             cepstra = log_e @ dct[:13].T
             raw = np.column_stack([cepstra[:, 1:13], frame_log_energy(frames)])
-        values = np.zeros((max_frames, width))
-        values[:n_valid] = normalize_centered(raw[:n_valid])
-        out.append(FeatureMatrix(values=values, n_valid_frames=n_valid))
+        out.append(normalize_centered(raw[:n_valid]))
     return out
 
 
@@ -298,16 +291,22 @@ def load_features(root, n_mfcc: int) -> FeatureStore:
     if not path.is_file():
         raise ParameterError(f"no feature store at {path}; "
                              f"run `convser extract --mfcc {n_mfcc}` first")
+    fix = f"delete it and re-run `convser extract --mfcc {n_mfcc}`"
     try:
         with np.load(path, allow_pickle=False) as npz:
             ids = npz["ids"].tolist()
-            rows = np.split(npz["rows"], np.cumsum(npz["n_valid"])[:-1])
+            stacked = npz["rows"]
+            rows = np.split(stacked, np.cumsum(npz["n_valid"])[:-1])
             hashes = npz["content_hashes"].tolist()
             config = FeatureConfig(**json.loads(str(npz["config"])))
+        finite = np.isfinite(stacked).all()
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise FormatError(f"feature store {path} is corrupt or was written by another convser "
-                          f"version ({type(exc).__name__}); "
-                          f"delete it and re-run `convser extract --mfcc {n_mfcc}`") from None
+                          f"version ({type(exc).__name__}); {fix}") from None
+    if not finite:
+        bad = next(i for i, r in zip(ids, rows) if not np.isfinite(r).all())
+        raise FormatError(f"feature store {path} holds non-finite (NaN or infinite) features "
+                          f"for {bad!r}; {fix}")
     return FeatureStore(config, dict(zip(ids, rows)), dict(zip(ids, hashes)))
 
 

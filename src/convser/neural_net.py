@@ -26,17 +26,16 @@ tests).
 Samples are zero-padded at the tail to a fixed frame count, and the products
 skip that padding when it is at least a quarter of the frames, where
 skipping pays. _conv_relu decides once per batch how many leading frames n
-every product runs over (see _live_frames): the frames before the batch's
-trailing all-zero frames, or all T when some conv_b > 0 (or NaN) makes the
-padding active. The convolution, its ReLU, the LSTM input projection, the
-input gradient dflat, the ReLU mask it passes through and the lstm_w, conv_w
-and conv_b gradients all read that n. An all-zero frame's product row is
-exactly +0 for finite weights, so skipped frames get the bias terms a
-full-size product gives them (0 + conv_b, a ReLU of +0, 0 + lstm_b) and dpre
-rows of zero. The trace keeps conv_pre and the ReLU output at all T frames;
-their padding lies on zero pages the OS maps in only when written (see
-_demand_zero), and only a non-zero conv_b is ever written there. The LSTM
-step loops run all T steps.
+every product runs over: the frames before the batch's trailing all-zero
+frames (see _live_frames) when conv_b is all zero, as training holds it,
+else all T. An all-zero frame's product row is exactly +0 for finite
+weights, so with a zero conv_b a skipped frame's conv_pre and ReLU rows are
++0, its projection 0 + lstm_b and its dpre rows zero. The convolution, its
+ReLU, the LSTM input projection, the input gradient dflat, the ReLU mask it
+passes through and the lstm_w, conv_w and conv_b gradients all read n
+frames; the LSTM step loops run all T steps. Only model_forward pads: its
+trace keeps conv_pre and the ReLU output at all T frames, their padding on
+zero pages the OS maps in only when written (see _demand_zero).
 
 The bit contract is one OpenBLAS thread: train_eval.map_tasks runs every
 task on one, and evaluate and predict score on one, so on any CPU a run
@@ -157,9 +156,9 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelParams
 class ForwardTrace:
     """Per-layer activations cached by the forward pass for backprop.
 
-    Every array spans all T frames. Frames live.. of conv_pre and flat hold
-    the padding's values, 0 + conv_b and +0, on demand-zero pages when the
-    batch skipped its padding (see _conv_relu); model_backward reads neither
+    Every array spans all T frames. When the batch skipped its padding
+    (live < T, see _conv_relu), frames live.. of conv_pre and flat hold +0 on
+    demand-zero pages (see _demand_zero); model_backward reads neither
     there."""
 
     x: np.ndarray            # (B, T, n_mfcc)
@@ -250,10 +249,12 @@ def _live_frames(x):
     return t if end > limit else end
 
 
-def _demand_zero(shape, dtype):
-    """A zero array of its own on fresh pages of a private anonymous mapping:
-    the OS supplies a page only when it is first written, already zeroed, so
-    a part never written costs neither the writes nor the page faults.
+def _demand_zero(live, frames):
+    """A (B, n, ...) array extended to `frames` frames with +0, in an array
+    of its own on fresh pages of a private anonymous mapping: the OS supplies
+    a page only when it is first written, already zeroed, so the padding
+    costs neither the writes nor the page faults. An array that already
+    spans `frames` frames is returned as it is.
 
     np.zeros would not do: glibc serves blocks of a trace array's size from
     the heap, under the mmap threshold the CLI pins at 32 MiB
@@ -262,44 +263,40 @@ def _demand_zero(shape, dtype):
     padding included. The mapping is private, not MAP_SHARED (Python's default
     for an anonymous map), so a forked worker that writes into the array gets
     its own copy of the page. Where MAP_PRIVATE does not exist, and for an
-    empty array, which no mapping can hold, np.zeros gives the same values."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if nbytes == 0 or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.zeros(shape, dtype)
-    return np.frombuffer(mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE), dtype).reshape(shape)
+    empty array, which no mapping can hold, a zeroed bytearray gives the same
+    values."""
+    if live.shape[1] == frames:
+        return live
+    shape = live.shape[:1] + (frames,) + live.shape[2:]
+    nbytes = math.prod(shape) * live.itemsize
+    private = nbytes and hasattr(mmap, "MAP_PRIVATE")
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE) if private else bytearray(nbytes)
+    out = np.frombuffer(pages, live.dtype).reshape(shape)
+    out[:, :live.shape[1]] = live
+    return out
 
 
-def _conv_relu(x, params: ModelParams, full: bool):
-    """Convolution, + conv_b and ReLU of a (B, T, n_mfcc) batch, and the one
-    live-frame decision of the batch: n = _live_frames(x) when every
-    conv_b <= 0, else n = T, since a positive (or NaN) conv_b makes the
-    padding's ReLU rows non-zero. Returns n, the input windows, conv_pre and
-    the ReLU output flattened per frame, (B, frames, flat_width), where
-    frames is n, or T when full.
+def _stage_frames(x, params: ModelParams):
+    """The leading frames of a (B, T, n_mfcc) batch the input stage runs over:
+    _live_frames(x) when conv_b is all zero (of either sign), else all T."""
+    return x.shape[1] if params.conv_b.any() else _live_frames(x)
 
-    The products run over the first n frames. A full-size conv_pre holds
-    0 + conv_b in frames n.. (an all-zero frame's product row is exactly +0)
-    and its ReLU output +0. When full and n < T, both arrays are _demand_zero
-    pages, so only conv_pre's padding is written, and only when some conv_b
-    is non-zero: +0 and -0.0 give +0, and training holds conv_b at zero."""
+
+def _conv_relu(x, params: ModelParams, keep_pre: bool = True):
+    """Convolution, + conv_b and ReLU of the first n = _stage_frames(x)
+    frames of a (B, T, n_mfcc) batch, the only frames it computes. Returns
+    n, the input windows (all T frames), conv_pre, (B, n, n_mfcc, filters),
+    and the ReLU output flattened per frame, (B, n, flat_width). Without
+    keep_pre the ReLU overwrites conv_pre, which is then not to be read."""
     b, t, m = x.shape
     k, filters = params.config.kernel_size, params.config.filters
     windows = _conv_windows(x, k)
-    n = _live_frames(x) if (params.conv_b <= 0).all() else t
-    rows = (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters)
-    if full and n < t:
-        conv_pre = _demand_zero((b, t, m, filters), rows.dtype)
-        np.add(rows, params.conv_b, out=conv_pre[:, :n])
-        if params.conv_b.any():
-            conv_pre[:, n:] = np.zeros((), rows.dtype) + params.conv_b
-        relu = _demand_zero(conv_pre.shape, rows.dtype)
-    else:
-        conv_pre = rows
-        conv_pre += params.conv_b
-        relu = np.empty_like(conv_pre)
-    np.maximum(conv_pre[:, :n], 0.0, out=relu[:, :n])
+    n = _stage_frames(x, params)
+    conv_pre = (windows[:, :n].reshape(-1, k) @ params.conv_w[:, 0, :]).reshape(b, n, m, filters)
+    conv_pre += params.conv_b
+    relu = np.maximum(conv_pre, 0.0, out=None if keep_pre else conv_pre)
     # row-major flatten of each timestep: coefficient outer, filter inner
-    return n, windows, conv_pre, relu.reshape(conv_pre.shape[:2] + (m * filters,))
+    return n, windows, conv_pre, relu.reshape(b, n, m * filters)
 
 
 def _project(inputs, params: ModelParams):
@@ -348,31 +345,35 @@ def _output(h, params: ModelParams):
     return _clamp_prob(_sigmoid(logit)), logit
 
 
-def lstm_forward(inputs, params: ModelParams, live=None):
-    """Run the LSTM over all timesteps from h0 = c0 = 0, returning the final
-    hidden state and the per-step quantities needed for backprop.
+def lstm_forward(inputs, params: ModelParams, steps=None):
+    """Run the LSTM from h0 = c0 = 0 over `steps` timesteps, by default one
+    per input frame, returning the final hidden state and the per-step
+    quantities needed for backprop.
 
-    The input projection is one GEMM over the first `live` frames, all of
-    them by default; model_forward passes the count _conv_relu chose, and
-    every later frame gets 0 + lstm_b, the row a full-size product gives a
-    zero frame. The step loop runs all timesteps."""
+    The input projection is one GEMM over the (B, n, flat_width) inputs, and
+    every step after the first n reads 0 + lstm_b, the row a full-size
+    product gives a zero frame: model_forward passes the live frames
+    _conv_relu ran over and all T steps."""
     x = _check_batch(inputs)
-    t, d = x.shape[1:]
+    n, d = x.shape[1:]
     if d != params.lstm_w.shape[1]:
         raise ParameterError(f"lstm input width {d} != weight width {params.lstm_w.shape[1]}")
-    xw = _project(x[:, :live], params)
-    return _recurrence(xw, np.zeros((), xw.dtype) + params.lstm_b, t, params, keep=True)
+    xw = _project(x, params)
+    return _recurrence(xw, np.zeros((), xw.dtype) + params.lstm_b, n if steps is None else steps,
+                       params, keep=True)
 
 
 def model_forward(features, params: ModelParams):
     """Full forward pass over a (B, T, n_mfcc) batch; returns the (B,)
     probabilities and the ForwardTrace that model_backward reads."""
     x = _check_features(features, params)
-    live, windows, conv_pre, flat = _conv_relu(x, params, full=True)
-    h_final, lstm_cache = lstm_forward(flat, params, live)
+    t = x.shape[1]
+    live, windows, conv_pre, flat = _conv_relu(x, params)
+    h_final, lstm_cache = lstm_forward(flat, params, t)
     prob, logit = _output(h_final, params)
-    trace = ForwardTrace(x=x, live=live, windows=windows, conv_pre=conv_pre, flat=flat,
-                         **lstm_cache, h_final=h_final, logit=logit, prob=prob)
+    trace = ForwardTrace(x=x, live=live, windows=windows, conv_pre=_demand_zero(conv_pre, t),
+                         flat=_demand_zero(flat, t), **lstm_cache, h_final=h_final,
+                         logit=logit, prob=prob)
     return prob, trace
 
 
@@ -380,22 +381,22 @@ def model_score(features, params: ModelParams, batch_size: int):
     """The (B,) probabilities and logits of a (B, T, n_mfcc) array without a
     trace: what model_forward gives on each batch_size rows, to rounding.
 
-    The input stage runs per batch_size rows, exactly as in model_forward,
-    so its memory stays bounded. Its projections are stacked time-major into
-    one (frames, B, 4 * units) array, each batch's frames after its live
-    ones holding 0 + lstm_b, and one step loop runs over all rows, keeping
-    only the current step. Its recurrent and output products run over all B
-    rows at once, so their last bits may differ from a batch's own."""
+    The input stage runs per batch_size rows, as in model_forward, so its
+    memory stays bounded, and writes each batch's projections into one
+    time-major array of the _stage_frames of all rows, the most any batch
+    runs over; a batch's frames after its own hold 0 + lstm_b. One step loop
+    runs over all rows, keeping only the current step. Its recurrent and
+    output products run over all B rows at once, so their last bits may
+    differ from a batch's own."""
     x = _check_features(features, params)
     b, t, _ = x.shape
-    starts = range(0, b, batch_size)
-    stages = [_project(_conv_relu(x[s:s + batch_size], params, full=False)[3], params)
-              for s in starts]
     fill = np.zeros((), np.result_type(x, params.lstm_w)) + params.lstm_b
-    xw = np.empty((max(map(len, stages), default=0), b, len(fill)), fill.dtype)
-    for s, rows in zip(starts, stages):
+    xw = np.empty((_stage_frames(x, params), b, len(fill)), fill.dtype)
+    for s in range(0, b, batch_size):
+        rows = _project(_conv_relu(x[s:s + batch_size], params, keep_pre=False)[3], params)
         xw[:len(rows), s:s + batch_size] = rows
         xw[len(rows):, s:s + batch_size] = fill
+        del rows  # freed before the next batch's input stage
     h, _ = _recurrence(xw, fill, t, params, keep=False)
     return _output(h, params)
 

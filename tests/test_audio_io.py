@@ -172,8 +172,10 @@ class TestWriteWav:
         assert back.samples[2] == 0.0
 
     def test_empty_buffer_rejected(self, tmp_path):
-        with pytest.raises(ParameterError):
-            write_wav(AudioBuffer(np.zeros(0), 8000), tmp_path / "x.wav")
+        path = tmp_path / "x.wav"
+        with pytest.raises(ParameterError, match="x.wav: refusing to write an empty buffer"):
+            write_wav(AudioBuffer(np.zeros(0), 8000), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, tmp_path, bad):

@@ -498,6 +498,16 @@ class TestAugment:
         manifest = (tmp_path / "noop" / "manifest.jsonl").read_text().splitlines()
         assert len(manifest) == 6
 
+    def test_empty_clip_names_its_file(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        assert run("synth", "--n", 2, "--duration", 0.5, "--seed", 3, "--out", corpus) == 0
+        (corpus / "synth001.wav").write_bytes(wav_bytes(1, 1, 44100, 16, b""))
+        capsys.readouterr()
+        assert run("augment", "--manifest", corpus / "manifest.jsonl", "--seed", 3,
+                   "--out", tmp_path / "a") == 1
+        err = capsys.readouterr().err
+        assert "synth001__" in err and "refusing to write an empty buffer" in err
+
     def test_paper_scale_counts(self, tmp_path, capsys):
         assert run("synth", "--n", 38, "--duration", 0.5, "--seed", 2,
                    "--out", tmp_path / "c38") == 0
@@ -652,7 +662,8 @@ OLDER_STORE_KEYS = {
 
 def damage_store(pipeline, tmp_path, damage):
     """A copy of the pipeline's feature store whose mfcc13.npz is junk, cut,
-    or has the config of an older convser (OLDER_STORE_KEYS)."""
+    or has the config of an older convser (OLDER_STORE_KEYS); intact for
+    "none"."""
     features = tmp_path / "features"
     features.mkdir()
     for store in pipeline["features"].iterdir():
@@ -666,8 +677,9 @@ def damage_store(pipeline, tmp_path, damage):
         with open(path, "wb") as handle:
             np.savez(handle, **members)
         return features
-    intact = path.read_bytes()
-    path.write_bytes(b"junk" if damage == "junk" else intact[: len(intact) // 2])
+    if damage != "none":
+        intact = path.read_bytes()
+        path.write_bytes(b"junk" if damage == "junk" else intact[: len(intact) // 2])
     return features
 
 
@@ -695,6 +707,47 @@ class TestCorruptStore:
                    "--features", features, "--mfcc", "13", "--epochs", 1,
                    "--out", tmp_path / "r") == 1
         self.check_error(capsys, features)
+
+
+def nan_store(pipeline, tmp_path):
+    """A copy of the pipeline's feature store with one NaN in synth001's
+    13-wide rows."""
+    features = damage_store(pipeline, tmp_path, "none")
+    path = features / "mfcc13.npz"
+    with np.load(path) as npz:
+        members = dict(npz)
+    first = int(np.sum(members["n_valid"][:list(members["ids"]).index("synth001")]))
+    members["rows"][first + 1, 2] = np.nan
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+    return features
+
+
+class TestNonFiniteStore:
+    """A store row holding NaN exits 1 naming the store and the record,
+    rather than being scored or trained on."""
+
+    def check_error(self, capsys, features):
+        err = capsys.readouterr().err
+        assert str(features / "mfcc13.npz") in err
+        assert "non-finite" in err and "'synth001'" in err
+
+    def test_evaluate(self, pipeline, run_dir, tmp_path, capsys):
+        features = nan_store(pipeline, tmp_path)
+        capsys.readouterr()
+        assert run("evaluate", "--model", run_dir / "M1-13_fold0.model.json",
+                   "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", features) == 1
+        self.check_error(capsys, features)
+
+    def test_train(self, pipeline, tmp_path, capsys):
+        features = nan_store(pipeline, tmp_path)
+        capsys.readouterr()
+        assert run("train", "--manifest", pipeline["augmented"] / "manifest.jsonl",
+                   "--features", features, "--mfcc", "13", "--epochs", 1,
+                   "--out", tmp_path / "r") == 1
+        self.check_error(capsys, features)
+        assert not (tmp_path / "r").exists() or not any((tmp_path / "r").iterdir())
 
 
 @pytest.fixture(scope="module")

@@ -224,12 +224,6 @@ class TestNormalize:
         twice = normalize_centered(once.copy())
         assert np.abs(twice - once).max() <= 1e-12
 
-    def test_padding_rows_zeroed(self):
-        matrix = np.ones((5, 2))
-        matrix[:3] = [[1.0, 2.0]] * 3
-        out = normalize_centered(matrix, n_valid=3)
-        assert np.all(out[3:] == 0.0)
-
 
 class TestExtractFeatures:
     def test_output_widths(self):
@@ -343,10 +337,19 @@ class TestExtractFeatures:
     def test_widths_together_equal_each_width_alone(self):
         tone = make_tone(440, duration_s=1.4)
         together = extract_widths(tone, [40, 13], 5)
-        for fm, width in zip(together, (40, 13)):
+        for valid, width in zip(together, (40, 13)):
             alone = extract_features(tone, FeatureConfig(n_mfcc=width, max_frames=5))
-            assert fm.n_valid_frames == alone.n_valid_frames == 5
-            assert np.array_equal(fm.values, alone.values)
+            assert valid.shape == (alone.n_valid_frames, width) == (5, width)
+            assert np.array_equal(valid, alone.values)
+
+    def test_widths_give_the_valid_rows_only(self):
+        # 0.5 s is 2 frames, padded to 6 by extract_features
+        tone = make_tone(440, duration_s=0.5)
+        for valid, width in zip(extract_widths(tone, [13, 40], 6), (13, 40)):
+            fm = extract_features(tone, FeatureConfig(n_mfcc=width, max_frames=6))
+            assert valid.shape == (fm.n_valid_frames, width) == (2, width)
+            assert np.array_equal(valid, fm.values[:2])
+            assert not fm.values[2:].any()
 
     def test_truncation_to_max_frames(self):
         tone = make_tone(500, duration_s=2.0)

@@ -253,8 +253,8 @@ def padded_batch(config, batch, longest, dtype, seed):
 
 def conv_bias(params, kind):
     """params with conv_b as initialised (zero), with entries of both signs
-    (mixed), or with every entry <= 0: negative ones and one -0.0 (nonpositive),
-    which keeps padding skippable while its conv_pre rows are non-zero."""
+    (mixed), or with every entry <= 0: negative ones and one -0.0
+    (nonpositive). Any non-zero entry makes the input stage run all T frames."""
     size = params.conv_b.size
     params.conv_b[...] = {"zero": np.zeros(size), "mixed": np.linspace(-0.3, 0.3, size),
                           "nonpositive": -np.linspace(0.3, 0.0, size)}[kind]
@@ -293,8 +293,9 @@ class TestMatchesPerGateReference:
 
     # The padded batches skip the product rows of their trailing zero frames,
     # and match the full-size reference to rounding, but for longest = 20 and
-    # 16, whose padding is under a quarter of the 20 frames, and a positive
-    # conv_b (mixed), which makes the padding active
+    # 16, whose padding is under a quarter of the 20 frames, and a non-zero
+    # conv_b (mixed, nonpositive), which runs all T frames and gives the
+    # reference's bits
     @pytest.mark.parametrize("config", [M1_13, M8_40], ids=["M1-13", "M8-40"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", ["zero", "mixed", "nonpositive"])
@@ -423,6 +424,69 @@ class TestLiveFrames:
         mask = np.zeros((4, 8, 3, 2), dtype=bool)
         mask[0, 4, 1, 1] = True
         assert _live_frames(mask) == 5
+
+
+class TestStageFrames:
+    """The input stage skips a batch's trailing zero frames only when conv_b
+    is all zero, of either sign; any non-zero entry runs all T frames."""
+
+    CONFIG = replace(M8_40, max_frames=60)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_conv_b_skips_the_padding(self, zero, dtype):
+        params = random_params(self.CONFIG, 7, scale=0.2)
+        params.conv_b[...] = zero
+        params = params.astype(dtype)
+        x = padded_batch(self.CONFIG, 16, 8, dtype, seed=8)
+        _, trace = model_forward(x, params)
+        assert trace.live == 8
+        # the trace's padding is +0, the ReLU of the +0 a zero frame gives
+        for padding in (trace.conv_pre[:, 8:], trace.flat[:, 8:]):
+            assert same_bits(padding, np.zeros_like(padding))
+        y = (np.arange(16) % 2).astype(dtype)
+        assert reference_mismatches(x, y, params) == []
+
+    @pytest.mark.parametrize("entry", [-0.25, -1e-30, 0.25])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_non_zero_conv_b_runs_all_frames(self, entry, dtype):
+        params = random_params(self.CONFIG, 7, scale=0.2)
+        params.conv_b[...] = 0.0
+        params.conv_b[3] = entry
+        params = params.astype(dtype)
+        x = padded_batch(self.CONFIG, 16, 8, dtype, seed=8)
+        _, trace = model_forward(x, params)
+        assert trace.live == 60
+        y = (np.arange(16) % 2).astype(dtype)
+        # full size, so reference_mismatches compares bits
+        assert reference_mismatches(x, y, params) == []
+
+    def test_nan_conv_b_runs_all_frames(self):
+        params = random_params(self.CONFIG, 7, scale=0.2).astype(np.float32)
+        params.conv_b[...] = 0.0
+        params.conv_b[0] = np.nan
+        x = padded_batch(self.CONFIG, 4, 8, np.float32, seed=8)
+        with np.errstate(invalid="ignore"):
+            _, trace = model_forward(x, params)
+        assert trace.live == 60
+
+    # a product of 16 x n rows takes the kernels of the 16 x T one: small
+    # products (a few rows) may take others and round differently
+    @pytest.mark.parametrize("config", [replace(c, max_frames=60) for c in (M1_13, M8_40)],
+                             ids=["M1-13", "M8-40"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("live", [15, 45, 60])
+    def test_lstm_over_live_inputs_equals_zero_padded(self, config, dtype, live):
+        params = random_params(config, 5, scale=0.2).astype(dtype)
+        rng = np.random.default_rng(live)
+        inputs = np.maximum(rng.uniform(-1, 1, (16, live, config.flat_width)), 0.0).astype(dtype)
+        padded = np.zeros((16, 60, config.flat_width), dtype)
+        padded[:, :live] = inputs
+        with _one_blas_thread():
+            h, cache = lstm_forward(inputs, params, 60)
+            want_h, want_cache = lstm_forward(padded, params)
+        assert same_bits(h, want_h)
+        assert [name for name in want_cache if not same_bits(cache[name], want_cache[name])] == []
 
 
 class TestTracePages:
